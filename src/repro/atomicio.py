@@ -1,10 +1,9 @@
 """Crash-consistent file writes: temp file + ``os.replace``.
 
-The farm result cache, its stats file, and the telemetry manifest log
-are all small append-only (or rewrite-on-update) stores owned by one
-master process.  A plain ``open(..., "a").write(line)`` can be torn by
-a crash or kill mid-write, leaving a half-line that poisons naive
-readers.  These helpers make every durable write atomic at the
+Every on-disk store (see :mod:`repro.store`) is a small append-only or
+rewrite-on-update file owned by one master process.  A plain
+``open(..., "a").write(line)`` can be torn by a crash or kill
+mid-write, leaving a half-line that poisons naive readers.  These helpers make every durable write atomic at the
 filesystem level: the new contents are staged in a temporary file *in
 the same directory* (so the rename cannot cross filesystems), fsynced,
 and swapped in with ``os.replace`` — readers observe either the old
@@ -13,12 +12,9 @@ complete file or the new complete file, never a torn tail.
 
 from __future__ import annotations
 
-import logging
 import os
 import tempfile
 from pathlib import Path
-
-logger = logging.getLogger(__name__)
 
 
 def _replace_with(path: Path, data: bytes) -> None:
@@ -56,7 +52,13 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
 
 
 def atomic_append_line(path: str | Path, line: str) -> Path:
-    """Atomically append one line to ``path``.
+    """Atomically append one line to ``path`` (see
+    :func:`atomic_append_lines`)."""
+    return atomic_append_lines(path, [line])
+
+
+def atomic_append_lines(path: str | Path, lines: list[str]) -> Path:
+    """Atomically append several lines in one rewrite (one fsync).
 
     Implemented as read + rewrite + replace, so a kill at any instant
     leaves either the previous complete log or the new complete log on
@@ -64,74 +66,12 @@ def atomic_append_line(path: str | Path, line: str) -> Path:
     for the small JSONL stores this library keeps (hundreds of records).
     """
     path = Path(path)
-    existing = path.read_bytes() if path.exists() else b""
-    if existing and not existing.endswith(b"\n"):
-        # a pre-hardening torn tail: seal it so the new record starts clean
-        existing += b"\n"
-    _replace_with(path, existing + line.encode("utf-8") + b"\n")
-    return path
-
-
-def atomic_append_lines(path: str | Path, lines: list[str]) -> Path:
-    """Atomically append several lines in one rewrite (one fsync)."""
-    path = Path(path)
     if not lines:
         return path
     existing = path.read_bytes() if path.exists() else b""
     if existing and not existing.endswith(b"\n"):
+        # a pre-hardening torn tail: seal it so the new records start clean
         existing += b"\n"
     blob = "".join(line + "\n" for line in lines).encode("utf-8")
     _replace_with(path, existing + blob)
     return path
-
-
-#: default size budget of a rotating ledger before it rolls over
-DEFAULT_LEDGER_BUDGET_BYTES = 1_000_000
-
-
-class RotatingLedger:
-    """A size-budgeted append-only JSONL file that rotates instead of
-    growing without bound.
-
-    Quarantine files and incident ledgers exist to absorb *storms* —
-    thousands of corrupt records or poisoned jobs arriving faster than
-    anyone reads them.  Left uncapped, the storm that corrupted the
-    cache also fills the disk.  When an append would push the file past
-    ``max_bytes``, the current file is renamed to ``<name>.1``
-    (replacing any previous generation — one generation of history is
-    kept, the rest is sacrificed) and the append starts a fresh file.
-    The first rotation per instance logs a warning; later ones are
-    counted silently in :attr:`rotations`.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        max_bytes: int = DEFAULT_LEDGER_BUDGET_BYTES,
-    ) -> None:
-        self.path = Path(path)
-        self.max_bytes = max_bytes
-        self.rotations = 0
-        self._rotation_logged = False
-
-    @property
-    def rotated_path(self) -> Path:
-        return self.path.with_name(self.path.name + ".1")
-
-    def append(self, line: str) -> None:
-        """Append one line, rotating first if the budget would burst."""
-        try:
-            size = self.path.stat().st_size if self.path.exists() else 0
-            if size and size + len(line) + 1 > self.max_bytes:
-                os.replace(self.path, self.rotated_path)
-                self.rotations += 1
-                if not self._rotation_logged:
-                    self._rotation_logged = True
-                    logger.warning(
-                        "ledger %s exceeded its %d-byte budget; rotated to "
-                        "%s — further rotations are counted silently",
-                        self.path, self.max_bytes, self.rotated_path,
-                    )
-            atomic_append_line(self.path, line)
-        except OSError:
-            pass  # ledgers are best-effort; never crash the caller

@@ -7,9 +7,10 @@ construction path of a cache-hit is one dict probe — no fingerprint
 hashing, no pass execution.  A miss runs the full pass pipeline under a
 ``kernels.pipeline.compose`` phase timer, fingerprints the request
 (config + :data:`~repro.caches.pipeline.request.KERNEL_CODE_VERSION`
-salt) and optionally appends one record to a crash-consistent JSONL
-compile ledger (default ``.kernel-cache/compiles.jsonl``) that the
-``repro kernels stats|clear`` CLI reads across processes.
+salt) and optionally appends one record to the compile ledger (default
+``.kernel-cache/compiles.jsonl``, a :class:`~repro.store.RecordLog`;
+see "Persistence" in ``docs/INTERNALS.md``) that the ``repro kernels
+stats|clear`` CLI reads across processes.
 
 Telemetry: :meth:`KernelRegistry.publish_metrics` copies the registry's
 activity *since the last publish* into a metrics registry —
@@ -21,12 +22,12 @@ cache outlives any single run.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 from repro.caches.pipeline.passes import KernelProgram, run_pipeline
 from repro.caches.pipeline.request import KernelRequest
+from repro.store import RecordLog
 from repro.telemetry.profile import PROFILE_BUCKET_SECS, phase
 
 #: where compile-ledger records land unless a caller overrides it
@@ -96,8 +97,6 @@ class KernelRegistry:
         self.ledger_dir = Path(ledger_dir)
 
     def _ledger_append(self, program: KernelProgram, secs: float) -> None:
-        from repro.atomicio import atomic_append_line
-
         record = {
             "fingerprint": program.fingerprint,
             "kind": program.request.kind,
@@ -108,9 +107,7 @@ class KernelRegistry:
             "compile_secs": round(secs, 6),
             "created_unix": time.time(),
         }
-        atomic_append_line(
-            self.ledger_path, json.dumps(record, sort_keys=True)
-        )
+        compile_ledger(self.ledger_dir).append([record])
 
     # ------------------------------------------------------------------
 
@@ -196,29 +193,22 @@ def compile_kernel(
 # ledger reading (the ``repro kernels`` CLI, any process)
 # ---------------------------------------------------------------------------
 
+def compile_ledger(ledger_dir: str | Path | None = None) -> RecordLog:
+    """The compile ledger under ``ledger_dir`` (default ``.kernel-cache``)."""
+    return RecordLog(
+        Path(ledger_dir or DEFAULT_LEDGER_DIR) / LEDGER_NAME,
+        key_field="fingerprint",
+    )
+
+
 def read_ledger(ledger_dir: str | Path | None = None) -> list[dict]:
-    """Every well-formed compile record in the ledger, oldest first."""
-    path = Path(ledger_dir or DEFAULT_LEDGER_DIR) / LEDGER_NAME
-    if not path.exists():
-        return []
-    records = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn pre-hardening tail; skip loudly-typed junk
-        if isinstance(record, dict):
-            records.append(record)
-    return records
+    """Every verified compile record in the ledger, oldest first."""
+    return list(compile_ledger(ledger_dir).records())
 
 
 def clear_ledger(ledger_dir: str | Path | None = None) -> int:
     """Delete the compile ledger; returns how many records it held."""
-    path = Path(ledger_dir or DEFAULT_LEDGER_DIR) / LEDGER_NAME
-    dropped = len(read_ledger(ledger_dir))
-    if path.exists():
-        path.unlink()
+    ledger = compile_ledger(ledger_dir)
+    dropped = len(list(ledger.records()))
+    ledger.clear()
     return dropped

@@ -1140,13 +1140,12 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     path = args.manifest_path or telemetry.DEFAULT_MANIFEST_PATH
 
     if args.telemetry_command == "clear":
-        from pathlib import Path
+        from repro.store import RecordLog
 
-        target = Path(path)
-        count = len(telemetry.read_manifests(target))
-        if target.exists():
-            target.unlink()
-        print(f"dropped {count} manifest record(s) from {target}")
+        log = RecordLog(path)
+        count = len(list(log.records()))
+        log.clear()
+        print(f"dropped {count} manifest record(s) from {log.path}")
         return 0
 
     records = telemetry.read_manifests(path)

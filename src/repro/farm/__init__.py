@@ -23,7 +23,9 @@ Quick start::
     print(farm.last_run.render())       # hits, latency, wall clock
 
 ``repro reproduce table7 --jobs 4`` drives the same machinery from the
-command line; ``repro farm stats`` inspects the cache.
+command line; ``repro farm stats`` inspects the cache.  The result
+cache, job journal and poison ledger are :class:`repro.store.RecordLog`
+files under the rules in "Persistence" (``docs/INTERNALS.md``).
 
 This module deliberately avoids importing :mod:`repro.farm.measures`
 (which pulls in the full simulation stack) — measures resolve lazily by

@@ -3,53 +3,37 @@
 Layout under the cache directory (default ``.farm-cache/``):
 
 ``results.jsonl``
-    One JSON object per cached result: ``{"key", "measure", "seed",
-    "value", "elapsed", "crc"}``.  Append-only; on a duplicate key the
-    latest line wins (results are deterministic, so duplicates agree
-    anyway).  ``crc`` is a CRC32 over the record's canonical JSON
-    (without the ``crc`` field itself); records failing the check — or
-    failing to parse at all — are *quarantined*: skipped, copied to
-    ``quarantine.jsonl``, counted under :attr:`ResultCache.corrupt`,
-    and logged once.  A corrupt cache never crashes a run and never
-    serves a damaged value; the job simply recomputes.
+    A :class:`~repro.store.RecordLog` of ``{"key", "measure", "seed",
+    "value", "elapsed", "crc"}`` records; on a duplicate key the latest
+    line wins (results are deterministic, so duplicates agree anyway).
+    Records from before CRCs were stamped still load.  A damaged record
+    is quarantined and the job simply recomputes.
 ``stats.json``
     Cumulative farm counters across runs, maintained by
     :meth:`ResultCache.record_run` and read by ``repro farm stats``.
 ``quarantine.jsonl``
     Raw corrupt lines, kept for post-mortems.
 
-All writes are crash-consistent (temp file + ``os.replace`` via
-:mod:`repro.atomicio`), so a scheduler killed mid-write can tear at
-most the final line of the *previous* format — and the loader tolerates
-that too.  Only the scheduler process reads or writes the store —
-workers return results to the master — so no file locking is needed.
-Values must be JSON-encodable (floats round-trip exactly through
-``json``).
+The commit, CRC, quarantine and pin rules are the shared ones described
+under "Persistence" in ``docs/INTERNALS.md``.  Only the scheduler
+process reads or writes the store — workers return results to the
+master — so no file locking is needed.  Values must be JSON-encodable
+(floats round-trip exactly through ``json``).
 """
 
 from __future__ import annotations
 
 import json
-import logging
-import zlib
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from repro.atomicio import RotatingLedger, atomic_append_line, atomic_write_text
+from repro.atomicio import atomic_write_text
 from repro.errors import FarmError
+from repro.store import RecordLog, record_crc  # noqa: F401 (re-exported)
 
 RESULTS_FILE = "results.jsonl"
 STATS_FILE = "stats.json"
 QUARANTINE_FILE = "quarantine.jsonl"
-
-logger = logging.getLogger(__name__)
-
-
-def record_crc(record: Mapping[str, Any]) -> str:
-    """CRC32 (hex) over a record's canonical JSON, ``crc`` excluded."""
-    body = {name: value for name, value in record.items() if name != "crc"}
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return f"{zlib.crc32(blob.encode('utf-8')) & 0xFFFFFFFF:08x}"
 
 
 class ResultCache:
@@ -69,75 +53,34 @@ class ResultCache:
         self.enabled = enabled
         self.hits = 0
         self.misses = 0
-        #: corrupt records skipped (quarantined) since this instance
-        #: first read the store
-        self.corrupt = 0
+        #: the results log; records without a CRC (pre-CRC stores) load
+        self.log = RecordLog(
+            self.directory / RESULTS_FILE,
+            required=("key", "value"),
+            quarantine=QUARANTINE_FILE,
+            error=FarmError,
+        )
         self._corrupt_recorded = 0
-        self._corruption_logged = False
         self._index: dict[str, Any] | None = None
-        #: entries a clear/GC left in place because a journal lease
+        #: entries a clear left in place because a journal lease
         #: still references them
         self.pinned_skips = 0
-        # size-capped quarantine: a corruption storm rotates the file
-        # instead of filling the disk (one generation of history kept)
-        self._quarantine_ledger = RotatingLedger(self._quarantine_path)
-
-    # -- storage
 
     @property
-    def _results_path(self) -> Path:
-        return self.directory / RESULTS_FILE
+    def corrupt(self) -> int:
+        """Corrupt records quarantined since this instance first read
+        the store."""
+        return self.log.corrupt
 
     @property
     def _stats_path(self) -> Path:
         return self.directory / STATS_FILE
 
-    @property
-    def _quarantine_path(self) -> Path:
-        return self.directory / QUARANTINE_FILE
-
-    def _quarantine(self, line: str, reason: str) -> None:
-        self.corrupt += 1
-        if not self._corruption_logged:
-            self._corruption_logged = True
-            logger.warning(
-                "farm cache %s holds corrupt record(s) (%s); quarantining "
-                "to %s and recomputing — further corruptions this run are "
-                "counted silently",
-                self._results_path, reason, self._quarantine_path,
-            )
-        self._quarantine_ledger.append(line)
-
-    def _read_records(self) -> Iterator[dict[str, Any]]:
-        """Yield verified records; corrupt lines are quarantined."""
-        if not self._results_path.exists():
-            return
-        for line in self._results_path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # a torn or truncated trailing line, or garbage bytes
-                self._quarantine(line, "not valid JSON")
-                continue
-            if not isinstance(record, dict) or "key" not in record or (
-                "value" not in record
-            ):
-                self._quarantine(line, "missing key/value fields")
-                continue
-            if "crc" in record and record["crc"] != record_crc(record):
-                self._quarantine(line, "CRC mismatch")
-                continue
-            # pre-CRC records (no "crc" field) are accepted as-is
-            yield record
-
     def _load(self) -> dict[str, Any]:
         if self._index is None:
-            self._index = {}
-            for record in self._read_records():
-                self._index[record["key"]] = record["value"]
+            self._index = {
+                record["key"]: record["value"] for record in self.log.records()
+            }
         return self._index
 
     # -- the get/put surface
@@ -161,16 +104,16 @@ class ResultCache:
     ) -> None:
         if not self.enabled:
             return
-        record = {
-            "key": key,
-            "measure": measure,
-            "seed": seed,
-            "value": value,
-            "elapsed": round(elapsed, 6),
-        }
-        record["crc"] = record_crc(record)
-        atomic_append_line(
-            self._results_path, json.dumps(record, sort_keys=True)
+        self.log.append(
+            [
+                {
+                    "key": key,
+                    "measure": measure,
+                    "seed": seed,
+                    "value": value,
+                    "elapsed": round(elapsed, 6),
+                }
+            ]
         )
         self._load()[key] = value
 
@@ -182,66 +125,25 @@ class ResultCache:
 
     def entries(self) -> Iterator[dict[str, Any]]:
         """Yield the stored verified records (latest per key)."""
-        latest: dict[str, dict[str, Any]] = {}
-        for record in self._read_records():
-            latest[record["key"]] = record
+        latest = {record["key"]: record for record in self.log.records()}
         yield from latest.values()
 
-    def _contained(self, path: Path) -> bool:
-        """Whether ``path`` resolves to inside the cache directory."""
-        root = self.directory.resolve()
-        try:
-            path.resolve().relative_to(root)
-        except ValueError:
-            return False
-        return True
-
     def clear(self, pinned: frozenset[str] | set[str] = frozenset()) -> int:
-        """Drop every stored result; returns how many were dropped.
+        """Drop every stored result, the stats and the quarantine;
+        returns how many results were dropped.
 
-        Refuses (raising :class:`FarmError`) to unlink anything that
-        does not resolve to inside the cache directory — a symlink
-        planted at ``results.jsonl`` cannot steer the delete at an
-        unrelated file, and a mis-set ``--dir`` cannot silently eat one.
-
-        Entries named in ``pinned`` — keys a live journal lease still
-        references — survive the clear (counted in
-        :attr:`pinned_skips`): deleting a result out from under an
-        in-flight resume would turn exactly-once replay into silent
-        re-execution.
+        Refuses (raising :class:`FarmError`) to unlink a symlink or
+        anything outside the cache directory.  Entries named in
+        ``pinned`` — keys a live journal lease still references —
+        survive (counted in :attr:`pinned_skips`): deleting a result out
+        from under an in-flight resume would turn exactly-once replay
+        into silent re-execution.
         """
         count = len(self._load())
-        victims = [
-            self._results_path, self._stats_path, self._quarantine_path
-        ]
-        for path in victims:
-            if path.exists() and (
-                path.is_symlink() or not self._contained(path)
-            ):
-                raise FarmError(
-                    f"refusing to clear {path}: it escapes the farm cache "
-                    f"directory {self.directory}"
-                )
-        survivors = []
-        if pinned:
-            survivors = [
-                record
-                for record in self.entries()
-                if record["key"] in pinned
-            ]
-            self.pinned_skips += len(survivors)
-        for path in victims:
-            if path.exists():
-                path.unlink()
-        self._index = {}
-        if survivors:
-            lines = [
-                json.dumps(record, sort_keys=True) for record in survivors
-            ]
-            atomic_write_text(self._results_path, "\n".join(lines) + "\n")
-            for record in survivors:
-                self._index[record["key"]] = record["value"]
-        return count - len(survivors)
+        kept = self.log.clear(pinned, extra=(self._stats_path,))
+        self.pinned_skips += kept
+        self._index = None
+        return count - kept
 
     # -- cumulative run statistics (the ``repro farm stats`` view)
 

@@ -1,107 +1,33 @@
-"""Size-budgeted shard/GC layer over the three cache tiers.
+"""Size-budgeted GC over the three cache tiers.
 
 A service that runs for days accretes three on-disk caches: the farm
 result store (``.farm-cache/results.jsonl``), the compiled-stream store
 (``.stream-cache/*.npy`` + sidecars) and the kernel compile ledger
-(``.kernel-cache/compiles.jsonl``).  All three are content-addressed by
-SHA-256-derived keys and append-only, so left alone they only grow.
-:class:`CacheGC` brings each tier under a byte budget without ever
-breaking the reproducibility contract:
+(``.kernel-cache/compiles.jsonl``).  All three are content-addressed and
+append-only, so left alone they only grow.  :class:`CacheGC` brings
+each tier under a byte budget by calling the tier's own eviction — a
+:class:`~repro.store.RecordLog` keeps its newest verified records, a
+:class:`~repro.store.BlobTier` drops least-recently-used blobs,
+sidecar first — and reports what each pass did.
 
-LRU by atime
-    Blob tiers evict least-recently-*used* first (``st_atime`` of the
-    blob, which every verified ``get`` touches), so the hot working set
-    survives.  Ledger tiers drop oldest records first (append order is
-    recency order for JSONL stores whose latest-per-key record wins).
+Keys named by a live journal lease (queued or leased jobs in the
+write-ahead journal) are *pinned*: never evicted, because evicting a
+result out from under an in-flight resume would turn exactly-once
+replay into re-execution mid-recovery.  ``cache.gc.pinned_skips``
+counts the pinned entries the budget would otherwise have evicted.
 
-pinning
-    Keys named by a live journal lease (queued or leased jobs in the
-    write-ahead journal) are never evicted — evicting a result out from
-    under an in-flight resume would turn exactly-once replay into
-    re-execution mid-recovery.  Skips are counted under
-    ``cache.gc.pinned_skips`` so the race is observable, not silent.
-
-crash-consistent deletion ordering
-    A stream entry dies sidecar-first, blob-last: the sidecar is the
-    commit point, so a crash mid-eviction leaves an *uncommitted* blob
-    that reads as a clean miss (and is swept as an orphan by the next
-    GC), never a sidecar pointing at a vanished blob.
-
-two-level shard dirs
-    With ``shard=True`` the stream tier is migrated from a flat
-    directory into ``<key[:2]>/<key[2:4]>/`` shard dirs (256*256
-    buckets over the existing hex keys), keeping per-directory entry
-    counts bounded however large the store grows.  The store reads
-    both layouts, so migration order never makes an entry unreadable.
-
-GC racing a reader is benign by construction: POSIX unlink removes the
-name, not the pages — an ``np.load(..., mmap_mode="r")`` mapping taken
-before the eviction stays valid, and a lookup after it is a clean miss
-that recompiles.  The chaos suite pins this.
+The ordering rules, and why GC racing a reader is benign, are under
+"Persistence" in ``docs/INTERNALS.md``; the chaos suite pins the race.
 """
 
 from __future__ import annotations
 
-import json
-import logging
-import os
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
-from repro.atomicio import atomic_write_text
+from repro.store import TierReport, shard_dir
 
-logger = logging.getLogger(__name__)
-
-#: hex chars per shard level: ``key[:2]/key[2:4]/<key>.npy``
-SHARD_GLOB = "[0-9a-f][0-9a-f]"
-
-
-def shard_dir(root: Path, key: str) -> Path:
-    """The two-level shard directory for ``key`` under ``root``."""
-    return root / key[:2] / key[2:4]
-
-
-@dataclass
-class TierReport:
-    """What one GC pass did to one cache tier."""
-
-    tier: str
-    directory: str = ""
-    scanned: int = 0
-    bytes_before: int = 0
-    bytes_after: int = 0
-    evicted: int = 0
-    orphans_swept: int = 0
-    pinned_skips: int = 0
-    migrated: int = 0
-
-    @property
-    def bytes_freed(self) -> int:
-        return max(0, self.bytes_before - self.bytes_after)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "tier": self.tier,
-            "directory": self.directory,
-            "scanned": self.scanned,
-            "bytes_before": self.bytes_before,
-            "bytes_after": self.bytes_after,
-            "bytes_freed": self.bytes_freed,
-            "evicted": self.evicted,
-            "orphans_swept": self.orphans_swept,
-            "pinned_skips": self.pinned_skips,
-            "migrated": self.migrated,
-        }
-
-
-@dataclass
-class _StreamEntry:
-    key: str
-    sidecar: Path
-    blob: Path
-    nbytes: int
-    atime: float
+__all__ = ["CacheGC", "TierReport", "journal_pins", "shard_dir"]
 
 
 class CacheGC:
@@ -118,194 +44,41 @@ class CacheGC:
         self.pins = frozenset(pins)
         self.reports: list[TierReport] = []
 
-    # -- the stream blob tier
-
-    def _stream_entries(self, directory: Path) -> list[_StreamEntry]:
-        entries: dict[str, _StreamEntry] = {}
-        sidecars: list[Path] = sorted(directory.glob("*.json"))
-        sidecars += sorted(
-            directory.glob(f"{SHARD_GLOB}/{SHARD_GLOB}/*.json")
-        )
-        for sidecar in sidecars:
-            key = sidecar.stem
-            blob = sidecar.with_suffix(".npy")
-            if not blob.exists():
-                continue  # uncommitted tail; the orphan sweep ignores
-            try:
-                stat = blob.stat()
-                nbytes = stat.st_size + sidecar.stat().st_size
-                entries[key] = _StreamEntry(
-                    key=key,
-                    sidecar=sidecar,
-                    blob=blob,
-                    nbytes=nbytes,
-                    atime=stat.st_atime,
-                )
-            except OSError:
-                continue
-        return sorted(entries.values(), key=lambda e: (e.atime, e.key))
-
-    def _sweep_stream_orphans(
-        self, directory: Path, report: TierReport
-    ) -> None:
-        """Delete blobs with no sidecar: interrupted puts, or the
-        blob-last half of an interrupted eviction."""
-        blobs: list[Path] = sorted(directory.glob("*.npy"))
-        blobs += sorted(directory.glob(f"{SHARD_GLOB}/{SHARD_GLOB}/*.npy"))
-        for blob in blobs:
-            if blob.with_suffix(".json").exists():
-                continue
-            try:
-                blob.unlink()
-                report.orphans_swept += 1
-            except OSError:
-                pass
-
-    def _migrate_stream_entry(
-        self, directory: Path, entry: _StreamEntry, report: TierReport
-    ) -> _StreamEntry:
-        """Move one flat entry into its shard dir, blob then sidecar."""
-        target = shard_dir(directory, entry.key)
-        try:
-            target.mkdir(parents=True, exist_ok=True)
-            new_blob = target / entry.blob.name
-            new_sidecar = target / entry.sidecar.name
-            os.replace(entry.blob, new_blob)
-            os.replace(entry.sidecar, new_sidecar)
-        except OSError:
-            return entry
-        report.migrated += 1
-        return _StreamEntry(
-            key=entry.key,
-            sidecar=new_sidecar,
-            blob=new_blob,
-            nbytes=entry.nbytes,
-            atime=entry.atime,
-        )
+    def _collect(
+        self, tier: str, directory: str | Path, store, pins, **options
+    ) -> TierReport:
+        """Run one tier's own eviction under the budget, and report it."""
+        report = TierReport(tier=tier, directory=str(directory))
+        self.reports.append(report)
+        store.evict(self.budget_bytes, pins, report, **options)
+        return report
 
     def collect_stream_tier(
         self, directory: str | Path, shard: bool = False
     ) -> TierReport:
         """Sweep orphans, optionally shard-migrate, then evict LRU
         until the tier fits the budget (pinned keys excepted)."""
-        directory = Path(directory)
-        report = TierReport(tier="stream", directory=str(directory))
-        self.reports.append(report)
-        if not directory.is_dir():
-            return report
-        self._sweep_stream_orphans(directory, report)
-        entries = self._stream_entries(directory)
-        if shard:
-            entries = [
-                self._migrate_stream_entry(directory, e, report)
-                if e.sidecar.parent == directory
-                else e
-                for e in entries
-            ]
-        report.scanned = len(entries)
-        total = sum(e.nbytes for e in entries)
-        report.bytes_before = total
-        if self.budget_bytes is not None:
-            for entry in entries:  # LRU first
-                if total <= self.budget_bytes:
-                    break
-                if entry.key in self.pins:
-                    report.pinned_skips += 1
-                    continue
-                # sidecar first (uncommit), blob last: a crash between
-                # the two leaves an orphan blob = a clean miss
-                try:
-                    entry.sidecar.unlink()
-                    entry.blob.unlink()
-                except OSError:
-                    continue
-                total -= entry.nbytes
-                report.evicted += 1
-        report.bytes_after = total
-        return report
+        from repro.streams.store import StreamStore
 
-    # -- the JSONL ledger tiers (farm results, kernel compiles)
-
-    def _collect_ledger(
-        self,
-        tier: str,
-        path: Path,
-        key_field: str,
-        pinned: frozenset[str],
-    ) -> TierReport:
-        report = TierReport(tier=tier, directory=str(path.parent))
-        self.reports.append(report)
-        if not path.exists():
-            return report
-        try:
-            raw_lines = path.read_text().splitlines()
-        except OSError:
-            return report
-        report.bytes_before = path.stat().st_size
-        records: list[tuple[str, str]] = []  # (key, line), append order
-        for line in raw_lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tails die in the rewrite
-            if not isinstance(record, dict):
-                continue
-            records.append((str(record.get(key_field, "")), line))
-        report.scanned = len(records)
-        if (
-            self.budget_bytes is None
-            or report.bytes_before <= self.budget_bytes
-        ):
-            report.bytes_after = report.bytes_before
-            return report
-        # newest-first keep list: later lines supersede earlier ones
-        kept: list[tuple[str, str]] = []
-        seen: set[str] = set()
-        budget = self.budget_bytes
-        total = 0
-        for key, line in reversed(records):
-            if key and key in seen:
-                continue  # an older duplicate of a kept record
-            cost = len(line) + 1
-            if key and key in pinned:
-                report.pinned_skips += 1
-            elif total + cost > budget:
-                report.evicted += 1
-                continue
-            seen.add(key)
-            kept.append((key, line))
-            total += cost
-        kept.reverse()  # restore append order
-        body = "".join(line + "\n" for _, line in kept)
-        atomic_write_text(path, body)
-        report.bytes_after = len(body.encode("utf-8"))
-        return report
+        store = StreamStore(directory).blobs
+        return self._collect(
+            "stream", directory, store, self.pins, shard=shard
+        )
 
     def collect_farm_tier(self, directory: str | Path) -> TierReport:
         """Budget the farm result store, honoring journal pins."""
-        from repro.farm.cache import RESULTS_FILE
+        from repro.farm.cache import ResultCache
 
-        return self._collect_ledger(
-            "farm",
-            Path(directory) / RESULTS_FILE,
-            key_field="key",
-            pinned=self.pins,
-        )
+        store = ResultCache(directory).log
+        return self._collect("farm", directory, store, self.pins)
 
     def collect_kernel_tier(self, directory: str | Path) -> TierReport:
         """Budget the kernel compile ledger (no pinning: records are
         provenance, not inputs to in-flight jobs)."""
-        from repro.caches.pipeline.registry import LEDGER_NAME
+        from repro.caches.pipeline.registry import compile_ledger
 
-        return self._collect_ledger(
-            "kernel",
-            Path(directory) / LEDGER_NAME,
-            key_field="fingerprint",
-            pinned=frozenset(),
-        )
+        store = compile_ledger(directory)
+        return self._collect("kernel", directory, store, frozenset())
 
     # -- the all-tiers entry point
 

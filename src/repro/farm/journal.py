@@ -7,13 +7,14 @@ through the state machine::
                   │  └──> failed
                   └─────> poisoned
 
-Each transition is one CRC-guarded JSONL record appended crash-
-consistently (``repro.atomicio``) to ``journal.jsonl`` in the farm
-cache directory, so a master SIGKILLed at any instant leaves either the
-previous complete journal or the new complete journal on disk — never a
-torn record.  On restart, :meth:`JobJournal.incomplete` names exactly
-the jobs whose value was never durably committed, and carries enough of
-each job (measure, params, seed) to rebuild and re-run it.
+Each transition is one CRC-guarded record appended to ``journal.jsonl``
+in the farm cache directory, a :class:`~repro.store.RecordLog` under
+the shared rules in "Persistence" (``docs/INTERNALS.md``), so a master
+SIGKILLed at any instant leaves either the previous complete journal or
+the new complete journal on disk — never a torn record.  On restart,
+:meth:`JobJournal.incomplete` names exactly the jobs whose value was
+never durably committed, and carries enough of each job (measure,
+params, seed) to rebuild and re-run it.
 
 Lease epochs and fencing
 ------------------------
@@ -43,15 +44,13 @@ multi-writer lock file.
 from __future__ import annotations
 
 import json
-import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
-from repro.atomicio import RotatingLedger, atomic_append_lines, atomic_write_text
 from repro.errors import FarmError
-from repro.farm.cache import record_crc
+from repro.store import RecordLog
 
 JOURNAL_FILE = "journal.jsonl"
 JOURNAL_QUARANTINE_FILE = "journal.quarantine.jsonl"
@@ -72,8 +71,6 @@ LIVE_STATES = frozenset({QUEUED, LEASED})
 INCOMPLETE_STATES = frozenset({QUEUED, LEASED})
 #: states that never run again without an explicit requeue
 TERMINAL_STATES = frozenset({DONE, FAILED, POISONED})
-
-logger = logging.getLogger(__name__)
 
 
 class StaleLeaseError(FarmError):
@@ -130,113 +127,77 @@ def _encode_params(params: Mapping[str, Any]) -> tuple[dict[str, Any], bool]:
         return {name: repr(value) for name, value in params.items()}, False
 
 
+def _fold(entries: dict[str, JournalEntry], record: Mapping[str, Any]) -> None:
+    """Apply one journal op to the per-job state.  Replay and live
+    writes both go through here, so the in-memory state is always the
+    fold of the log."""
+    op = record["op"]
+    key = record["key"]
+    if op == "queue":
+        entry = entries.get(key) or JournalEntry(key=key)
+        entry.state = QUEUED
+        entry.measure = str(record.get("measure", entry.measure))
+        entry.seed = int(record.get("seed", entry.seed))
+        entry.batch = str(record.get("batch", entry.batch))
+        entry.client = str(record.get("client", entry.client))
+        entry.reason = {}
+        params = record.get("params")
+        if isinstance(params, dict):
+            entry.params = params
+        entry.replayable = bool(record.get("replayable", True))
+        entries[key] = entry
+        return
+    entry = entries.get(key)
+    if entry is None:
+        # a transition without its queue record (pre-compaction
+        # tail or cross-directory copy): synthesize a shell so
+        # state still resolves
+        entry = JournalEntry(key=key, replayable=False)
+        entries[key] = entry
+    if op == "lease":
+        entry.state = LEASED
+        entry.epoch = int(record.get("epoch", entry.epoch + 1))
+    elif op in (DONE, "reconcile"):
+        entry.state = DONE
+    elif op in ("fail", "poison"):
+        entry.state = FAILED if op == "fail" else POISONED
+        reason = record.get("reason")
+        entry.reason = reason if isinstance(reason, dict) else {}
+    elif op == "requeue":
+        entry.state = QUEUED
+        entry.reason = {}
+
+
 class JobJournal:
     """Append-only journal over one farm cache directory."""
 
-    def __init__(
-        self,
-        directory: str | Path,
-        enabled: bool = True,
-        quarantine_budget_bytes: int | None = None,
-    ) -> None:
+    def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        self.enabled = enabled
         #: commits refused by lease fencing since this instance loaded
         self.fenced_commits = 0
-        #: corrupt journal lines quarantined since this instance loaded
-        self.corrupt = 0
-        self._corruption_logged = False
-        self._entries: dict[str, JournalEntry] | None = None
-        quarantine = self.directory / JOURNAL_QUARANTINE_FILE
-        self._quarantine = (
-            RotatingLedger(quarantine, quarantine_budget_bytes)
-            if quarantine_budget_bytes is not None
-            else RotatingLedger(quarantine)
+        #: the op log; every record must carry a CRC
+        self.log = RecordLog(
+            self.directory / JOURNAL_FILE,
+            required=("op", "key", "crc"),
+            quarantine=JOURNAL_QUARANTINE_FILE,
+            error=FarmError,
         )
-
-    # -- storage
+        self._entries: dict[str, JournalEntry] | None = None
 
     @property
     def path(self) -> Path:
-        return self.directory / JOURNAL_FILE
+        return self.log.path
 
-    def _quarantine_line(self, line: str, reason: str) -> None:
-        self.corrupt += 1
-        if not self._corruption_logged:
-            self._corruption_logged = True
-            logger.warning(
-                "job journal %s holds corrupt record(s) (%s); quarantining "
-                "to %s — further corruptions this run are counted silently",
-                self.path, reason, self._quarantine.path,
-            )
-        self._quarantine.append(line)
-
-    def _read_ops(self) -> Iterator[dict[str, Any]]:
-        """Yield verified journal operations in append order."""
-        if not self.path.exists():
-            return
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                self._quarantine_line(line, "not valid JSON")
-                continue
-            if not isinstance(record, dict) or "op" not in record or (
-                "key" not in record
-            ):
-                self._quarantine_line(line, "missing op/key fields")
-                continue
-            if record.get("crc") != record_crc(record):
-                self._quarantine_line(line, "CRC mismatch")
-                continue
-            yield record
+    @property
+    def corrupt(self) -> int:
+        """Corrupt journal lines quarantined since this instance loaded."""
+        return self.log.corrupt
 
     def _replay(self) -> dict[str, JournalEntry]:
         """Fold the op log into the latest per-job state."""
         entries: dict[str, JournalEntry] = {}
-        for record in self._read_ops():
-            op = record["op"]
-            key = record["key"]
-            if op == "queue":
-                entry = entries.get(key) or JournalEntry(key=key)
-                entry.state = QUEUED
-                entry.measure = str(record.get("measure", entry.measure))
-                entry.seed = int(record.get("seed", entry.seed))
-                entry.batch = str(record.get("batch", entry.batch))
-                entry.client = str(record.get("client", entry.client))
-                entry.reason = {}
-                params = record.get("params")
-                if isinstance(params, dict):
-                    entry.params = params
-                entry.replayable = bool(record.get("replayable", True))
-                entries[key] = entry
-                continue
-            entry = entries.get(key)
-            if entry is None:
-                # a transition without its queue record (pre-compaction
-                # tail or cross-directory copy): synthesize a shell so
-                # state still resolves
-                entry = JournalEntry(key=key, replayable=False)
-                entries[key] = entry
-            if op == "lease":
-                entry.state = LEASED
-                entry.epoch = int(record.get("epoch", entry.epoch + 1))
-            elif op in (DONE, "reconcile"):
-                entry.state = DONE
-            elif op == "fail":
-                entry.state = FAILED
-                reason = record.get("reason")
-                entry.reason = reason if isinstance(reason, dict) else {}
-            elif op == "poison":
-                entry.state = POISONED
-                reason = record.get("reason")
-                entry.reason = reason if isinstance(reason, dict) else {}
-            elif op == "requeue":
-                entry.state = QUEUED
-                entry.reason = {}
+        for record in self.log.records():
+            _fold(entries, record)
         return entries
 
     def _load(self) -> dict[str, JournalEntry]:
@@ -245,15 +206,13 @@ class JobJournal:
         return self._entries
 
     def _append(self, records: list[dict[str, Any]]) -> None:
-        if not self.enabled:
-            return
-        lines = []
+        """Apply ``records`` to the state, then log them (one append)."""
+        entries = self._load()
         for record in records:
             record.setdefault("v", JOURNAL_VERSION)
             record.setdefault("ts", round(time.time(), 3))
-            record["crc"] = record_crc(record)
-            lines.append(json.dumps(record, sort_keys=True))
-        atomic_append_lines(self.path, lines)
+            _fold(entries, record)
+        self.log.append(records)
 
     # -- the write-ahead surface
 
@@ -266,10 +225,14 @@ class JobJournal:
         """Journal a batch *before* any job runs (one atomic append)."""
         records = []
         entries = self._load()
+        seen: set[str] = set()
         for job, key in jobs_with_keys:
             current = entries.get(key)
-            if current is not None and current.state in LIVE_STATES:
+            if key in seen or (
+                current is not None and current.state in LIVE_STATES
+            ):
                 continue  # already journaled and incomplete: keep its epoch
+            seen.add(key)
             params, replayable = _encode_params(job.params)
             records.append(
                 {
@@ -283,26 +246,13 @@ class JobJournal:
                     "replayable": replayable,
                 }
             )
-            entries[key] = JournalEntry(
-                key=key,
-                state=QUEUED,
-                measure=job.measure,
-                params=params,
-                seed=job.seed,
-                batch=batch,
-                client=client,
-                epoch=current.epoch if current is not None else 0,
-                replayable=replayable,
-            )
         self._append(records)
 
     def lease(self, key: str) -> int:
         """Claim a job for execution; returns the fencing epoch."""
-        entry = self._require(key)
-        entry.epoch += 1
-        entry.state = LEASED
-        self._append([{"op": "lease", "key": key, "epoch": entry.epoch}])
-        return entry.epoch
+        epoch = self._require(key).epoch + 1
+        self._append([{"op": "lease", "key": key, "epoch": epoch}])
+        return epoch
 
     def commit(self, key: str, epoch: int) -> None:
         """Retire a leased job as done; refused under a stale epoch."""
@@ -313,7 +263,6 @@ class JobJournal:
                 f"commit for job {key[:12]} fenced: presented epoch {epoch}, "
                 f"current lease epoch is {entry.epoch}"
             )
-        entry.state = DONE
         self._append([{"op": "done", "key": key, "epoch": epoch}])
 
     def reconcile(self, key: str) -> None:
@@ -321,41 +270,26 @@ class JobJournal:
         result cache (a cache hit, or a resume after a crash that landed
         between cache write and ``done``)."""
         entry = self._require(key)
-        entry.state = DONE
         self._append([{"op": "reconcile", "key": key, "epoch": entry.epoch}])
 
     def fail(self, key: str, epoch: int, reason: Mapping[str, Any]) -> None:
-        entry = self._require(key)
-        entry.state = FAILED
-        entry.reason = dict(reason)
+        self._require(key)
         self._append(
             [{"op": "fail", "key": key, "epoch": epoch, "reason": dict(reason)}]
         )
 
     def poison(self, key: str, epoch: int, reason: Mapping[str, Any]) -> None:
         """Quarantine a job that keeps destroying its workers."""
-        entry = self._require(key)
-        entry.state = POISONED
-        entry.reason = dict(reason)
+        self._require(key)
         self._append(
-            [
-                {
-                    "op": "poison",
-                    "key": key,
-                    "epoch": epoch,
-                    "reason": dict(reason),
-                }
-            ]
+            [{"op": "poison", "key": key, "epoch": epoch,
+              "reason": dict(reason)}]
         )
 
     def requeue(self, key: str) -> None:
         """Put a failed/poisoned job back in play (``repro jobs retry``)."""
-        entry = self._require(key)
-        if entry.state in LIVE_STATES:
-            return
-        entry.state = QUEUED
-        entry.reason = {}
-        self._append([{"op": "requeue", "key": key}])
+        if self._require(key).state not in LIVE_STATES:
+            self._append([{"op": "requeue", "key": key}])
 
     def _require(self, key: str) -> JournalEntry:
         entry = self._load().get(key)
@@ -398,63 +332,26 @@ class JobJournal:
     def compact(self) -> int:
         """Drop retired (``done``) jobs; returns how many were dropped.
 
-        Failed and poisoned jobs survive compaction — they are the
-        operator's worklist (``repro jobs list|retry``).  The rewrite is
-        atomic, so a crash mid-compaction loses nothing.
+        Failed and poisoned jobs survive compaction with all their ops —
+        they are the operator's worklist (``repro jobs list|retry``).
+        The rewrite is atomic, so a crash mid-compaction loses nothing.
         """
         entries = self._load()
-        keep = {
-            key: entry
-            for key, entry in entries.items()
-            if entry.state != DONE
-        }
+        keep = {key: e for key, e in entries.items() if e.state != DONE}
         dropped = len(entries) - len(keep)
-        if dropped == 0:
-            return 0
-        lines = []
-        for entry in sorted(keep.values(), key=lambda e: (e.batch, e.seed, e.key)):
-            record: dict[str, Any] = {
-                "op": "queue",
-                "key": entry.key,
-                "measure": entry.measure,
-                "params": entry.params,
-                "seed": entry.seed,
-                "batch": entry.batch,
-                "client": entry.client,
-                "replayable": entry.replayable,
-                "v": JOURNAL_VERSION,
-                "ts": round(time.time(), 3),
-            }
-            record["crc"] = record_crc(record)
-            lines.append(json.dumps(record, sort_keys=True))
-            if entry.state != QUEUED:
-                tail: dict[str, Any] = {
-                    "op": {
-                        LEASED: "lease",
-                        FAILED: "fail",
-                        POISONED: "poison",
-                    }[entry.state],
-                    "key": entry.key,
-                    "epoch": entry.epoch,
-                    "v": JOURNAL_VERSION,
-                    "ts": round(time.time(), 3),
-                }
-                if entry.reason:
-                    tail["reason"] = entry.reason
-                tail["crc"] = record_crc(tail)
-                lines.append(json.dumps(tail, sort_keys=True))
-        if lines:
-            atomic_write_text(self.path, "\n".join(lines) + "\n")
-        elif self.path.exists():
-            self.path.unlink()
-        self._entries = keep
+        if dropped:
+            self.log.rewrite(
+                line
+                for record, line in self.log.scan()
+                if record["key"] in keep
+            )
+            self._entries = keep
         return dropped
 
     def clear(self) -> int:
         """Drop the whole journal (every state); returns entry count."""
         count = len(self._load())
-        if self.path.exists():
-            self.path.unlink()
+        self.log.clear()
         self._entries = {}
         return count
 

@@ -22,7 +22,7 @@ distinction:
     distinct generations has now killed that many *different* workers —
     it is the job, not the worker.  The supervisor declares it poisoned
     with a machine-readable reason, ledgers it to ``poisoned.jsonl``
-    (size-capped, like the cache quarantine), and the pool loop drops
+    (a size-capped :class:`~repro.store.RecordLog`), and the pool loop drops
     it from the batch so the rest of the work completes.
 
 *flap detection and cool-down*
@@ -43,15 +43,14 @@ distinction:
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.atomicio import RotatingLedger
 from repro.errors import ConfigError
+from repro.store import RecordLog
 
 POISON_FILE = "poisoned.jsonl"
 
@@ -145,9 +144,10 @@ class WorkerSupervisor:
         #: worker pid -> monotonic last-seen instant
         self._last_seen: dict[int, float] = {}
         self._ledger = (
-            RotatingLedger(
+            RecordLog(
                 Path(ledger_dir) / POISON_FILE,
-                self.config.poison_ledger_bytes,
+                quarantine=None,
+                max_bytes=self.config.poison_ledger_bytes,
             )
             if ledger_dir is not None
             else None
@@ -184,7 +184,10 @@ class WorkerSupervisor:
         if self._ledger is not None:
             entry = dict(reason)
             entry["ts"] = round(time.time(), 3)
-            self._ledger.append(json.dumps(entry, sort_keys=True))
+            try:
+                self._ledger.append([entry])
+            except OSError:
+                pass  # ledgers are best-effort; never crash the caller
         logger.warning(
             "job %s poisoned after striking %d distinct workers; "
             "quarantined, batch continues without it",

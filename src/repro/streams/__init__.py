@@ -8,7 +8,9 @@ materializes each stream once as an ``int64`` ``.npy`` blob under
 ``.stream-cache/``, keyed by a SHA-256 of its generating spec, and
 replays it via read-only memory maps everywhere else: later runs, farm
 workers (which receive store keys, not pickled arrays), and warm-state
-snapshot forks that skip a declared warmup prefix entirely.
+snapshot forks that skip a declared warmup prefix entirely.  The store
+is a :class:`repro.store.BlobTier`; its commit, CRC, quarantine and GC
+rules are under "Persistence" in ``docs/INTERNALS.md``.
 
 Everything is gated on a process-wide session
 (:func:`repro.streams.session.active`); with no session the simulator

@@ -8,9 +8,11 @@ git revision), *what it cost* (wall clock) and *what it measured* (a
 metrics-registry snapshot plus a small results dict) — enough to plot a
 durable performance trajectory across months of commits.
 
-Records append to ``manifests.jsonl`` next to the farm result cache
-(both are append-only JSONL stores owned by the master process), or to
-any path the CLI's ``--manifest-out`` names.
+Records append to ``manifests.jsonl`` next to the farm result cache, or
+to any path the CLI's ``--manifest-out`` names; the log is a
+:class:`~repro.store.RecordLog` (see "Persistence" in
+``docs/INTERNALS.md``), so every record carries a CRC and a damaged
+line is quarantined rather than read.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.atomicio import atomic_append_line
 from repro.errors import TelemetryError
+from repro.store import RecordLog
 
 #: bump when the record layout changes incompatibly
 #: v2: optional ``estimates`` block — sampled results carry their value,
@@ -158,28 +160,14 @@ def write_manifest(
             f"refusing to write an invalid manifest record: {'; '.join(problems)}"
         )
     path = Path(path) if path is not None else DEFAULT_MANIFEST_PATH
-    # crash-consistent append: a kill mid-write can never tear a record
-    atomic_append_line(path, json.dumps(record, sort_keys=True))
+    RecordLog(path).append([record])
     return path
 
 
 def read_manifests(path: str | Path | None = None) -> list[dict[str, Any]]:
-    """All records in the log, oldest first; torn lines are skipped."""
+    """All verified records in the log, oldest first."""
     path = Path(path) if path is not None else DEFAULT_MANIFEST_PATH
-    if not path.exists():
-        return []
-    records = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # a torn write loses one record, not the log
-        if isinstance(record, dict):
-            records.append(record)
-    return records
+    return list(RecordLog(path).records())
 
 
 def validate_record(record: Mapping[str, Any]) -> list[str]:
