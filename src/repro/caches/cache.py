@@ -16,7 +16,7 @@ one (the paper: "the tid is used to form part of the cache (or TLB) tag").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, List, Tuple
+from typing import List, Tuple
 
 from repro._types import Indexing
 from repro.caches.config import CacheConfig
@@ -50,6 +50,7 @@ class SetAssociativeCache:
         self.config = config
         self.policy = policy or LRUPolicy()
         self._sets: list[list[Key]] = [[] for _ in range(config.n_sets)]
+        self._virtual = config.indexing is Indexing.VIRTUAL
         self.searches = 0
         self.insertions = 0
 
@@ -57,15 +58,12 @@ class SetAssociativeCache:
 
     def space_of(self, tid: int) -> int:
         """The tag-space for a task: tid when virtually indexed, else 0."""
-        return tid if self.config.indexing is Indexing.VIRTUAL else 0
+        return tid if self._virtual else 0
 
     def _locate(self, key: Key) -> tuple[list[Key], int]:
         """Return (set_entries, way_index_or_-1) for a line key."""
         entries = self._sets[self.config.set_of(key[1])]
-        try:
-            return entries, entries.index(key)
-        except ValueError:
-            return entries, -1
+        return entries, entries.index(key) if key in entries else -1
 
     # -- trace-driven path: search every address
 
@@ -93,13 +91,20 @@ class SetAssociativeCache:
         such traps represent simulated cache misses, there is no need to
         search a data structure representing the simulated cache."
         """
-        key = (self.space_of(tid), self.config.line_of(addr))
-        entries = self._sets[self.config.set_of(key[1])]
-        displaced = self._insert(entries, key)
         outcome = MissOutcome()
+        displaced = self.insert_missing(tid, addr)
         if displaced is not None:
             outcome.displaced.append(displaced)
         return outcome
+
+    def insert_missing(self, tid: int, addr: int) -> Key | None:
+        """The insertion step under :meth:`miss_insert`: insert the
+        known-absent line and return the displaced key (or None),
+        allocating no outcome object — the single-cache miss handler
+        calls this directly."""
+        config = self.config
+        key = (tid if self._virtual else 0, config.line_of(addr))
+        return self._insert(self._sets[config.set_of(addr)], key)
 
     def _insert(self, entries: list[Key], key: Key) -> Key | None:
         self.insertions += 1
@@ -134,15 +139,18 @@ class SetAssociativeCache:
         from the simulated cache and clearing all traps."
         """
         space = self.space_of(tid)
+        sets = self._sets
+        set_of = self.config.set_of
         removed = []
         for line_addr in range(
             page_addr, page_addr + page_bytes, self.config.line_bytes
         ):
-            key = (space, line_addr)
-            entries, way = self._locate(key)
-            if way >= 0:
-                entries.pop(way)
-                removed.append(key)
+            entries = sets[set_of(line_addr)]
+            if entries:
+                key = (space, line_addr)
+                if key in entries:
+                    entries.remove(key)
+                    removed.append(key)
         return removed
 
     def flush_space(self, tid: int) -> list[Key]:

@@ -1,8 +1,16 @@
-"""Validated configurations for simulated caches and TLBs."""
+"""Validated configurations for simulated caches and TLBs.
+
+Derived geometry (``n_sets``, ``line_shift``, ``set_mask``, ...) is a
+:func:`~functools.cached_property`: computed on first use and then read
+from the instance dict, because the trap handler and page registration
+ask for it on every call.  Cached values are not dataclass fields, so
+equality, hashing and farm keys see only the declared geometry.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro._types import PAGE_SIZE, WORD_SIZE, Indexing, WritePolicy
 from repro.errors import ConfigError
@@ -42,21 +50,27 @@ class CacheConfig:
                 f"{self.associativity}-way set of {self.line_bytes}-byte lines"
             )
 
-    @property
+    @cached_property
     def n_lines(self) -> int:
         return self.size_bytes // self.line_bytes
 
-    @property
+    @cached_property
     def n_sets(self) -> int:
         return self.n_lines // self.associativity
 
-    @property
+    @cached_property
     def line_shift(self) -> int:
         return self.line_bytes.bit_length() - 1
 
-    def set_of(self, addr: int) -> int:
-        """Set index of an address (virtual or physical per ``indexing``)."""
-        return (addr >> self.line_shift) % self.n_sets
+    @cached_property
+    def set_mask(self) -> int:
+        """``n_sets - 1``: the set index of a line number is its low bits."""
+        return self.n_sets - 1
+
+    def set_of(self, addr):
+        """Set index of an address (virtual or physical per ``indexing``);
+        also accepts a numpy array of addresses."""
+        return (addr >> self.line_shift) & self.set_mask
 
     def line_of(self, addr: int) -> int:
         """Line-aligned base address."""
@@ -175,15 +189,15 @@ class TLBConfig:
                 f"{self.n_entries} entries"
             )
 
-    @property
+    @cached_property
     def effective_associativity(self) -> int:
         return self.associativity or self.n_entries
 
-    @property
+    @cached_property
     def n_sets(self) -> int:
         return self.n_entries // self.effective_associativity
 
-    @property
+    @cached_property
     def pages_per_entry(self) -> int:
         return self.page_bytes // PAGE_SIZE
 

@@ -56,8 +56,9 @@ class Replacer:
         """The address the structure is indexed/tagged by."""
         return va if self._indexing is Indexing.VIRTUAL else pa
 
-    def _trap_target(self, key: tuple[int, int]) -> int | None:
-        """Physical trap base for a displaced (space, line_addr) key."""
+    def trap_target(self, key: tuple[int, int]) -> int | None:
+        """Physical trap base for a displaced (space, line_addr) key, or
+        None when its page has left the Tapeworm domain."""
         space, line_addr = key
         if self._indexing is Indexing.PHYSICAL:
             if not self.registry.is_registered_frame(line_addr):
@@ -74,9 +75,10 @@ class Replacer:
             outcome.l2_missed = not result.l2_hit
             displaced = result.displaced_from_l1
         else:
-            displaced = self.structure.miss_insert(tid, addr).displaced
+            key = self.structure.insert_missing(tid, addr)
+            displaced = () if key is None else (key,)
         for key in displaced:
-            target = self._trap_target(key)
+            target = self.trap_target(key)
             if target is None:
                 outcome.untranslatable += 1
             else:

@@ -38,14 +38,9 @@ from repro.core.primitives import TrapPrimitives
 from repro.core.registration import PageRegistry
 from repro.core.replace import Replacer
 from repro.core.sampling import SetSampler
-from repro.errors import (
-    ConfigError,
-    DoubleBitError,
-    TapewormError,
-    UnsupportedStructure,
-)
+from repro.errors import ConfigError, DoubleBitError, TapewormError
 from repro.kernel.kernel import Kernel
-from repro.machine.ecc import TrapClass
+from repro.machine.ecc import ECCDiagnostic, TrapClass
 from repro.machine.mmu import PAGE_SHIFT
 from repro.machine.traps import TrapFrame, TrapKind
 
@@ -140,6 +135,17 @@ class Tapeworm:
                 )
             self.structure = structure
             self.replacer = Replacer(structure, self.registry)
+            #: the miss handler's direct insertion target (None for a
+            #: hierarchy, which goes through the full ``tw_replace``)
+            self._single_cache = (
+                structure
+                if isinstance(structure, SetAssociativeCache)
+                else None
+            )
+            #: line offsets within one page, for sampled registration
+            self._page_line_offsets = np.arange(
+                0, PAGE_SIZE, config.cache.line_bytes, dtype=np.int64
+            )
             n_sets = config.cache.n_sets
             self._miss_cycles = self.cost_model.cycles_per_cache_miss(
                 config.cache
@@ -252,16 +258,22 @@ class Tapeworm:
             self._set_page_traps(pa, va)
 
     def _set_page_traps(self, pa: int, va: int) -> None:
-        """Trap every sampled line of one freshly registered page."""
+        """Trap every sampled line of one freshly registered page.
+
+        The sampled lines are found with one vectorized set-membership
+        mask over the page's line offsets; each is then trapped with its
+        own ``tw_set_trap``, as the per-line rule would.
+        """
         line_bytes = self.replacer.line_bytes
         config = self._cache_config()
         if not self.sampler.is_sampling:
             self.primitives.tw_set_trap(pa, PAGE_SIZE)
             return
         index_base = va if config.indexing is Indexing.VIRTUAL else pa
-        for offset in range(0, PAGE_SIZE, line_bytes):
-            if self.sampler.covers_set(config.set_of(index_base + offset)):
-                self.primitives.tw_set_trap(pa + offset, line_bytes)
+        offsets = self._page_line_offsets
+        sets = config.set_of(index_base + offsets)
+        for offset in offsets[self.sampler.mask_for_sets(sets)].tolist():
+            self.primitives.tw_set_trap(pa + offset, line_bytes)
 
     def _cache_config(self) -> CacheConfig:
         return self.config.cache
@@ -372,45 +384,63 @@ class Tapeworm:
         return self._cache_miss(frame)
 
     def _cache_miss(self, frame: TrapFrame) -> int:
+        ecc = self.machine.ecc
         # Classify first: Tapeworm must not swallow true memory errors.
-        diagnostic = self.machine.ecc.diagnose(frame.pa)
-        trap_class = diagnostic.trap_class
-        if trap_class is not TrapClass.TAPEWORM:
-            self.true_errors_detected += 1
-            if not diagnostic.recoverable:
-                # Two or more corrupted data bits: an uncorrectable
-                # pattern even after software undoes its own check-bit
-                # flip.  The real machine would panic; we surface the
-                # structured diagnostic instead of silently scrubbing.
-                raise DoubleBitError(
-                    "uncorrectable ECC error in task "
-                    f"{frame.tid} at cycle {frame.cycle}: "
-                    f"{diagnostic.describe()}",
-                    diagnostic=diagnostic,
-                )
-            self.machine.ecc.scrub(frame.pa)
-            if self.machine.ecc.is_tapeworm_trapped(frame.pa):
-                # restore our own trap that scrubbing removed
-                granule_base = frame.pa & ~(self.primitives.trap_granule_bytes() - 1)
-                self.machine.ecc.set_trap(
-                    granule_base, self.primitives.trap_granule_bytes()
-                )
-            self.overhead_cycles += TRUE_ERROR_HANDLING_CYCLES
-            return TRUE_ERROR_HANDLING_CYCLES
+        # Only a granule carrying an injected error can classify as
+        # anything but our own trap, so the word-level decode runs only
+        # there.
+        if ecc.has_true_error(frame.pa):
+            diagnostic = ecc.diagnose(frame.pa)
+            if diagnostic.trap_class is not TrapClass.TAPEWORM:
+                return self._true_error(frame, diagnostic)
 
         line_bytes = self.replacer.line_bytes
         pa_line = frame.pa & ~(line_bytes - 1)
         va_line = frame.va & ~(line_bytes - 1)
 
         self.stats.count_miss(frame.component)
-        self.primitives.tw_clear_trap(pa_line, line_bytes)
-        outcome = self.replacer.tw_replace(frame.tid, pa_line, va_line)
-        if outcome.l2_missed:
-            self.stats.l2_misses += 1
-        for target in outcome.trap_targets:
-            self.primitives.tw_set_trap(target, line_bytes)
+        primitives = self.primitives
+        primitives.tw_clear_trap(pa_line, line_bytes)
+        cache = self._single_cache
+        if cache is not None:
+            displaced = cache.insert_missing(
+                frame.tid, self.replacer.index_address(va_line, pa_line)
+            )
+            if displaced is not None:
+                target = self.replacer.trap_target(displaced)
+                if target is not None:
+                    primitives.tw_set_trap(target, line_bytes)
+        else:
+            outcome = self.replacer.tw_replace(frame.tid, pa_line, va_line)
+            if outcome.l2_missed:
+                self.stats.l2_misses += 1
+            for target in outcome.trap_targets:
+                primitives.tw_set_trap(target, line_bytes)
         self.overhead_cycles += self._miss_cycles
         return self._miss_cycles
+
+    def _true_error(self, frame: TrapFrame, diagnostic: ECCDiagnostic) -> int:
+        """Log (or refuse) a true memory error found under a trap."""
+        self.true_errors_detected += 1
+        if not diagnostic.recoverable:
+            # Two or more corrupted data bits: an uncorrectable pattern
+            # even after software undoes its own check-bit flip.  The
+            # real machine would panic; we surface the structured
+            # diagnostic instead of silently scrubbing.
+            raise DoubleBitError(
+                "uncorrectable ECC error in task "
+                f"{frame.tid} at cycle {frame.cycle}: "
+                f"{diagnostic.describe()}",
+                diagnostic=diagnostic,
+            )
+        ecc = self.machine.ecc
+        ecc.scrub(frame.pa)
+        if ecc.is_tapeworm_trapped(frame.pa):
+            # restore our own trap that scrubbing removed
+            granule_bytes = self.primitives.trap_granule_bytes()
+            ecc.set_trap(frame.pa & ~(granule_bytes - 1), granule_bytes)
+        self.overhead_cycles += TRUE_ERROR_HANDLING_CYCLES
+        return TRUE_ERROR_HANDLING_CYCLES
 
     def _tlb_miss(self, frame: TrapFrame) -> int:
         tid = frame.tid

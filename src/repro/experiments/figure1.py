@@ -21,7 +21,7 @@ log shows exactly the clear-replace-set sequence above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +82,6 @@ def _run_trap_side() -> tuple[list[str], int, int]:
         line = frame.pa & ~(DEMO_CACHE.line_bytes - 1)
         before = tapeworm.stats.total_misses
         cycles = original(frame)
-        set_calls = tapeworm.primitives.set_calls
         events.append(
             f"trap at pa {line:#05x}: miss++, tw_clear_trap({line:#05x}), "
             f"tw_replace -> tw_set_trap on displaced"

@@ -1,28 +1,27 @@
 """Position indexes over chunk-sized arrays.
 
-The chunk engine's in-order trap delivery must, after each handled trap,
-find every *later* position in the chunk that references a location the
-handler just trapped (the displaced line's granule, or an invalidated
-page's VPN).  Scanning the chunk tail per drained location is
-O(traps x chunk) — the rescan cost that dominated trap-heavy segments.
+The chunk engine's in-order trap delivery chains each trapped granule
+(or page-trapped VPN) from one occurrence to the next: after handling
+position ``i`` it asks for the *first* later position referencing a
+location that is trapped at that moment.  Scanning the chunk tail for
+it is O(chunk) per lookup.
 
 :class:`PositionIndex` precomputes, once per segment, a stable argsort
 of the value array.  Because the sort is stable, the positions of any
-one value appear in ascending order inside their sorted run, so "every
-occurrence of value v after position i" is two binary searches (locate
-v's run, then bisect the run by i) plus a slice — O(log n + k) per
-lookup, with the same result multiset as the linear rescan.  Pushing an
-identical multiset of integer positions keeps the delivery heap's pop
-sequence bit-identical.
+one value appear in ascending order inside their sorted run, so "the
+first occurrence of value v after position i" is three binary searches
+(locate v's run, then bisect the run by i).  The sorted values and
+positions are held as Python lists and searched with :mod:`bisect`, so
+a lookup costs a few hundred nanoseconds and returns a plain ``int``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
 from repro.telemetry.profile import phase
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class PositionIndex:
@@ -32,24 +31,30 @@ class PositionIndex:
         values = np.asarray(values)
         order = np.argsort(values, kind="stable")
         #: values in sorted order (runs of equal values are contiguous)
-        self._values = values[order]
+        self._values: list[int] = values[order].tolist()
         #: original positions, ascending within each equal-value run
-        self._positions = order
+        self._positions: list[int] = order.tolist()
 
     def __len__(self) -> int:
         return len(self._values)
 
-    def occurrences_after(self, value: int, position: int) -> np.ndarray:
-        """All positions > ``position`` holding ``value``, ascending."""
-        lo = int(np.searchsorted(self._values, value, side="left"))
-        hi = int(np.searchsorted(self._values, value, side="right"))
-        if lo == hi:
-            return _EMPTY
-        run = self._positions[lo:hi]
-        start = int(np.searchsorted(run, position, side="right"))
-        return run[start:]
+    def _run(self, value: int) -> tuple[int, int]:
+        lo = bisect_left(self._values, value)
+        return lo, bisect_right(self._values, value, lo)
 
-    def occurrences(self, value: int) -> np.ndarray:
+    def first_after(self, value: int, position: int) -> int:
+        """The first position > ``position`` holding ``value``, or -1."""
+        lo, hi = self._run(value)
+        k = bisect_right(self._positions, position, lo, hi)
+        return self._positions[k] if k < hi else -1
+
+    def occurrences_after(self, value: int, position: int) -> list[int]:
+        """All positions > ``position`` holding ``value``, ascending."""
+        lo, hi = self._run(value)
+        start = bisect_right(self._positions, position, lo, hi)
+        return self._positions[start:hi]
+
+    def occurrences(self, value: int) -> list[int]:
         """All positions holding ``value``, ascending."""
         return self.occurrences_after(value, -1)
 
@@ -59,9 +64,9 @@ class RescanBinding:
 
     The scan kernel's rescan-binding pass hands one of these per
     rescannable value array (ECC granules, VPNs); the index is built on
-    the *first* lookup — most segments deliver no displaced-location
-    traps and never pay the argsort — under the same
-    ``machine.rescan_index`` phase timer the inline code used.
+    the *first* lookup — a segment whose traps are all cleared by their
+    own handlers and displace nothing later in the chunk never pays the
+    argsort — under the ``machine.rescan_index`` phase timer.
     """
 
     __slots__ = ("_values", "_kind", "_index")
@@ -71,9 +76,9 @@ class RescanBinding:
         self._kind = kind
         self._index: PositionIndex | None = None
 
-    def occurrences_after(self, value: int, position: int) -> np.ndarray:
+    def first_after(self, value: int, position: int) -> int:
         index = self._index
         if index is None:
             with phase("machine.rescan_index", kind=self._kind):
                 index = self._index = PositionIndex(self._values)
-        return index.occurrences_after(value, position)
+        return index.first_after(value, position)

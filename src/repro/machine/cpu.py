@@ -10,25 +10,32 @@ underlying hardware to filter out hits in the simulated cache structure."
 Correct in-order delivery matters: a miss handler *sets* a trap on the
 displaced line, and if that line is referenced again later in the same
 chunk the hardware must trap there too.  The engine therefore keeps a heap
-of candidate chunk positions; after every handled trap it drains the
-ECC controller's / page table's log of newly trapped locations and pushes
-any later occurrences of them back onto the heap.  Every candidate is
-re-checked against live trap state before dispatch, so stale candidates
-(cleared by an earlier handler) are skipped.  The result is bit-identical
-to a reference-at-a-time simulation, at numpy chunk speed.
+of candidate chunk positions, chained by next occurrence: it starts with
+the first trapped occurrence of each ECC granule and page-trapped VPN
+(and every breakpoint hit); after each popped position it queues the
+next occurrence of that position's own granule or VPN if it is still
+trapped, and of every granule or VPN the handler newly trapped (drained
+from the ECC controller's / page table's recent-set log).  Every
+candidate is re-checked against live trap state before dispatch, so
+stale candidates (cleared by an earlier handler) are skipped.  After
+position ``p`` is processed the heap holds the first later occurrence of
+everything trapped at that moment, so the result is bit-identical to a
+reference-at-a-time simulation (``tests/property/
+test_delivery_equivalence.py`` checks exactly that), at numpy chunk
+speed, with one heap entry per trap rather than one per trapped
+reference.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro._types import Component, TrapMechanism
 from repro.caches.pipeline import compile_kernel, scan_request
-from repro.errors import MachineError
 from repro.machine.mmu import PAGE_SHIFT, PageTable
 from repro.machine.traps import TrapFrame, TrapKind
 from repro.telemetry.session import active as _telemetry
@@ -224,7 +231,31 @@ class CPU:
         program,
         writes: np.ndarray | None = None,
     ) -> None:
-        """In-order trap delivery with displaced-line rescans.
+        """In-order trap delivery by next-occurrence chaining.
+
+        The heap holds chunk positions still to be checked.  It starts
+        with the *first* trapped occurrence of every ECC granule and of
+        every page-trapped VPN in the segment, plus every breakpoint hit
+        (a breakpoint fires on each reference, so those positions are
+        all queued).  Each popped position is re-checked against live
+        trap state, then chained:
+
+        * if its own granule (or VPN) is still trapped afterwards —
+          interrupts were masked, or the handler left or re-set the
+          trap — the next occurrence of that granule (VPN) is queued;
+        * every granule (VPN) a handler trapped, drained from the
+          controller's (page table's) recent-set log, has its next
+          occurrence after this position queued.
+
+        Invariant: after position ``p`` is processed, the heap holds the
+        first later occurrence of every granule and VPN trapped at that
+        moment.  Trap state only changes inside handlers, and every new
+        trap is logged; a trap that is cleared leaves at most a stale
+        entry, which the re-check skips.  So no trapped position is ever
+        skipped and none is delivered twice — the delivery sequence is
+        exactly that of executing one reference per call.  (Breakpoint
+        ranges are scanned once per segment: one a handler arms
+        mid-segment first fires in the next segment.)
 
         ``program`` is the compiled scan kernel for this segment's
         active mechanisms; the per-kind delivery branches below are trap
@@ -235,22 +266,47 @@ class CPU:
         use_ecc = program.use_ecc
         use_pages = program.use_pages
         use_breakpoints = program.use_breakpoints
+        ecc = machine.ecc
         # Stale logs from outside this chunk are irrelevant.
         if use_ecc:
-            machine.ecc.drain_recent_sets()
+            ecc.drain_recent_sets()
         if use_pages:
             table.drain_recent_invalidations()
 
-        heap = [int(i) for i in np.nonzero(candidate_mask)[0]]
-        heapq.heapify(heap)
+        candidates = np.flatnonzero(candidate_mask)
+        seeds = []
+        if use_ecc:
+            values = granules[candidates]
+            trapped = ecc.granule_trapped[values]
+            seeds.append(_first_trapped(candidates, values, trapped))
+        if use_pages:
+            values = vpns[candidates]
+            trapped = table.resident[values] & ~table.valid[values]
+            seeds.append(_first_trapped(candidates, values, trapped))
+        if use_breakpoints:
+            seeds.append(
+                candidates[machine.breakpoints.check_chunk(vas[candidates])]
+            )
+        # a sorted list is already a heap; a position seeded by two
+        # mechanisms is popped twice in a row and skipped the second time
+        heap = np.sort(np.concatenate(seeds)).tolist()
         # Rescan bindings from the pipeline's binding pass: the
-        # PositionIndex is built lazily on the first handler that traps
-        # a displaced location — "next occurrence of this granule/VPN
-        # after position i" becomes two bisects, not an O(chunk) scan.
+        # PositionIndex is built lazily on the first chained lookup, and
+        # "next occurrence of this granule/VPN after position i" is then
+        # three bisects, not an O(chunk) scan.
         granule_rescan, vpn_rescan = program.bind_rescans(granules, vpns)
+        granule_trapped = ecc.granule_trapped
+        dispatch = machine.dispatcher.dispatch
+        stores_evaporate = (
+            writes is not None and not machine.config.allocate_on_write
+        )
+        tid = ctx.tid
+        component = ctx.component
+        heappop = heapq.heappop
+        heappush = heapq.heappush
         previous = -1
         while heap:
-            i = heapq.heappop(heap)
+            i = heappop(heap)
             if i == previous:
                 continue  # duplicate candidate for the same reference
             previous = i
@@ -258,75 +314,71 @@ class CPU:
 
             # Page-invalid traps fire at translation time, before the
             # memory access, so they take priority over ECC traps.
-            if use_pages and table.is_page_trapped(int(vpns[i])):
-                frame = TrapFrame(
-                    kind=TrapKind.PAGE_INVALID,
-                    tid=ctx.tid,
-                    component=ctx.component,
-                    va=int(vas[i]),
-                    pa=int(pas[i]),
-                    cycle=machine.clock.now,
-                )
-                result.sim_cycles += machine.dispatcher.dispatch(frame)
-                result.traps += 1
-                delivered = True
-
-            if use_ecc and machine.ecc.granule_trapped[granules[i]]:
-                is_write = writes is not None and bool(writes[i])
-                if is_write and not machine.config.allocate_on_write:
-                    # the store overwrites the word, regenerating correct
-                    # ECC: the trap evaporates with no kernel entry — the
-                    # no-allocate-on-write mechanism that defeats D-cache
-                    # simulation on this machine (section 4.4)
-                    machine.ecc.clear_trap(
-                        int(pas[i]) & ~(GRANULE_BYTES - 1), GRANULE_BYTES
-                    )
-                    result.silent_clears += 1
-                elif machine.interrupts_masked:
-                    # ECC errors raise a hardware *interrupt* on this
-                    # machine; with interrupts masked the trap is lost and
-                    # the miss goes uncounted (paper, "Sources of
-                    # Measurement Bias").
-                    result.masked_traps += 1
-                else:
-                    frame = TrapFrame(
-                        kind=TrapKind.ECC_ERROR,
-                        tid=ctx.tid,
-                        component=ctx.component,
-                        va=int(vas[i]),
-                        pa=int(pas[i]),
-                        cycle=machine.clock.now,
-                    )
-                    result.sim_cycles += machine.dispatcher.dispatch(frame)
+            if use_pages:
+                vpn = int(vpns[i])
+                if table.is_page_trapped(vpn):
+                    result.sim_cycles += dispatch(TrapFrame(
+                        TrapKind.PAGE_INVALID, tid, component,
+                        int(vas[i]), int(pas[i]), machine.clock.now,
+                    ))
                     result.traps += 1
                     delivered = True
 
+            if use_ecc:
+                granule = int(granules[i])
+                if granule_trapped[granule]:
+                    if stores_evaporate and writes[i]:
+                        # the store overwrites the word, regenerating
+                        # correct ECC: the trap evaporates with no kernel
+                        # entry — the no-allocate-on-write mechanism that
+                        # defeats D-cache simulation on this machine
+                        # (section 4.4)
+                        ecc.clear_trap(granule << GRANULE_SHIFT, GRANULE_BYTES)
+                        result.silent_clears += 1
+                    elif machine.interrupts_masked:
+                        # ECC errors raise a hardware *interrupt* on this
+                        # machine; with interrupts masked the trap is lost
+                        # and the miss goes uncounted (paper, "Sources of
+                        # Measurement Bias").
+                        result.masked_traps += 1
+                    else:
+                        result.sim_cycles += dispatch(TrapFrame(
+                            TrapKind.ECC_ERROR, tid, component,
+                            int(vas[i]), int(pas[i]), machine.clock.now,
+                        ))
+                        result.traps += 1
+                        delivered = True
+
             if use_breakpoints and machine.breakpoints.hits(int(vas[i])):
-                frame = TrapFrame(
-                    kind=TrapKind.BREAKPOINT,
-                    tid=ctx.tid,
-                    component=ctx.component,
-                    va=int(vas[i]),
-                    pa=int(pas[i]),
-                    cycle=machine.clock.now,
-                )
-                result.sim_cycles += machine.dispatcher.dispatch(frame)
+                result.sim_cycles += dispatch(TrapFrame(
+                    TrapKind.BREAKPOINT, tid, component,
+                    int(vas[i]), int(pas[i]), machine.clock.now,
+                ))
                 result.traps += 1
                 delivered = True
 
-            if not delivered:
-                continue
-
-            # A handler may have set traps on displaced locations that
-            # occur later in this very chunk; queue those positions.
+            # Chain this reference's own granule / VPN while it stays
+            # trapped, then queue whatever the handlers newly trapped.
             if use_ecc:
-                for granule in machine.ecc.drain_recent_sets():
-                    for pos in granule_rescan.occurrences_after(granule, i):
-                        heapq.heappush(heap, int(pos))
+                if granule_trapped[granule]:
+                    nxt = granule_rescan.first_after(granule, i)
+                    if nxt >= 0:
+                        heappush(heap, nxt)
+                if delivered:
+                    for trapped_granule in ecc.drain_recent_sets():
+                        nxt = granule_rescan.first_after(trapped_granule, i)
+                        if nxt >= 0:
+                            heappush(heap, nxt)
             if use_pages:
-                for vpn in table.drain_recent_invalidations():
-                    for pos in vpn_rescan.occurrences_after(vpn, i):
-                        heapq.heappush(heap, int(pos))
+                if table.is_page_trapped(vpn):
+                    nxt = vpn_rescan.first_after(vpn, i)
+                    if nxt >= 0:
+                        heappush(heap, nxt)
+                if delivered:
+                    for trapped_vpn in table.drain_recent_invalidations():
+                        nxt = vpn_rescan.first_after(trapped_vpn, i)
+                        if nxt >= 0:
+                            heappush(heap, nxt)
 
     # ------------------------------------------------------------------
 
@@ -348,3 +400,12 @@ class CPU:
                 metrics.counter(
                     "machine.cpu.cycles", component=component.value
                 ).inc(cycles)
+
+
+def _first_trapped(
+    positions: np.ndarray, values: np.ndarray, trapped: np.ndarray
+) -> np.ndarray:
+    """The first of ``positions`` (ascending) holding each distinct
+    ``values`` entry that is ``trapped``."""
+    _, first = np.unique(values[trapped], return_index=True)
+    return positions[trapped][first]

@@ -228,7 +228,8 @@ class ECCController:
 
     # -- trap manipulation (Tapeworm's tw_set_trap / tw_clear_trap use these)
 
-    def _granule_range(self, pa: int, size: int) -> range:
+    def _granule_bounds(self, pa: int, size: int) -> tuple[int, int]:
+        """``[start, stop)`` granule numbers of a granule-aligned range."""
         self.memory.check_pa(pa, size)
         if pa % GRANULE_BYTES or size % GRANULE_BYTES:
             raise MachineError(
@@ -236,14 +237,17 @@ class ECCController:
                 f"checks ECC on {GRANULE_BYTES}-byte refills "
                 f"(got pa={pa:#x}, size={size})"
             )
-        return range(pa // GRANULE_BYTES, (pa + size) // GRANULE_BYTES)
+        return pa // GRANULE_BYTES, (pa + size) // GRANULE_BYTES
 
     def set_trap(self, pa: int, size: int) -> None:
         """Flip the Tapeworm check bit for every granule in the range."""
-        granules = self._granule_range(pa, size)
-        self._tapeworm[granules.start : granules.stop] = True
-        self.granule_trapped[granules.start : granules.stop] = True
-        self._recent_sets.extend(granules)
+        start, stop = self._granule_bounds(pa, size)
+        self._tapeworm[start:stop] = True
+        self.granule_trapped[start:stop] = True
+        if stop - start == 1:
+            self._recent_sets.append(start)
+        else:
+            self._recent_sets.extend(range(start, stop))
         self.stats_sets += 1
 
     def clear_trap(self, pa: int, size: int) -> None:
@@ -253,10 +257,13 @@ class ECCController:
         as on real hardware, where clearing Tapeworm's bit does not repair
         an unrelated fault.
         """
-        granules = self._granule_range(pa, size)
-        self._tapeworm[granules.start : granules.stop] = False
-        for granule in granules:
-            self.granule_trapped[granule] = granule in self._true_errors
+        start, stop = self._granule_bounds(pa, size)
+        self._tapeworm[start:stop] = False
+        if self._true_errors:
+            for granule in range(start, stop):
+                self.granule_trapped[granule] = granule in self._true_errors
+        else:
+            self.granule_trapped[start:stop] = False
         self.stats_clears += 1
 
     def is_trapped(self, pa: int) -> bool:
@@ -276,6 +283,12 @@ class ECCController:
 
     # -- true memory errors (for the bias/accuracy experiments)
 
+    def has_true_error(self, pa: int) -> bool:
+        """Whether ``pa``'s granule carries an injected true error — the
+        only case in which :meth:`diagnose` can classify a trap as
+        anything but Tapeworm's own."""
+        return self.memory.granule_of(pa) in self._true_errors
+
     def inject_true_error(self, pa: int, bit: int, double: bool = False) -> None:
         """Corrupt a data bit (or two, for ``double``) at ``pa``.
 
@@ -290,6 +303,7 @@ class ECCController:
         if double:
             errors.add((word, (bit + 1) % 32))
         self.granule_trapped[granule] = True
+        self._recent_sets.append(granule)
 
     def classify(self, pa: int) -> TrapClass:
         """Classify an ECC trap at ``pa`` the way Tapeworm's handler does."""

@@ -56,6 +56,12 @@ class StreamSession:
         self.attachments: dict[str, np.ndarray] = dict(attachments or {})
         #: arrays this process already holds (compiled or mapped)
         self._memo: dict[str, np.ndarray] = {}
+        #: stream keys already computed, per (workload name, task name,
+        #: task spec, refs, data refs?, salt) — every input of
+        #: :func:`stream_fingerprint`, so a task fork looks its key up
+        #: instead of re-hashing the spec (``WorkloadSpec`` holds a dict
+        #: and is unhashable; its name and the task spec stand in for it)
+        self._keys: dict[tuple, str] = {}
         self.snapshots = SnapshotStore()
         self.memo_hits = 0
         self.shm_hits = 0
@@ -81,10 +87,15 @@ class StreamSession:
         in the (never expected) case the margin is exceeded.
         """
         refs = compile_refs_for(total_refs)
-        key = stream_fingerprint(
-            spec, task_name, refs, include_data_refs, salt=self.salt
-        )
         task = spec.task(task_name)
+        memo_key = (
+            spec.name, task_name, task, refs, include_data_refs, self.salt
+        )
+        key = self._keys.get(memo_key)
+        if key is None:
+            key = self._keys[memo_key] = stream_fingerprint(
+                spec, task_name, refs, include_data_refs, salt=self.salt
+            )
 
         def fallback():
             return build_live_stream(spec.name, task, include_data_refs)
