@@ -40,7 +40,7 @@ LEDGER_NAME = "compiles.jsonl"
 class KernelRegistry:
     """Per-process program cache plus optional on-disk compile ledger."""
 
-    def __init__(self, ledger_dir: str | Path | None = None) -> None:
+    def __init__(self) -> None:
         self._programs: dict[KernelRequest, KernelProgram] = {}
         self.compiles = 0
         self.hits = 0
@@ -50,7 +50,8 @@ class KernelRegistry:
         self._pass_secs: dict[str, list[float]] = {}
         self._published = {"compiles": 0, "hits": 0, "misses": 0}
         self._published_pass_counts: dict[str, int] = {}
-        self.ledger_dir = Path(ledger_dir) if ledger_dir else None
+        #: set by :meth:`attach_ledger`; None keeps compiles off disk
+        self.ledger_dir: Path | None = None
 
     # ------------------------------------------------------------------
 

@@ -607,6 +607,8 @@ def run_trace_driven(
     force_general_path: bool = False,
 ) -> TraceRunReport:
     """One Pixie+Cache2000 simulation of a workload's primary user task."""
+    if user_refs < 1:
+        raise ConfigError(f"user_refs must be positive, got {user_refs}")
     tracer = PixieTracer(spec, chunk_refs=chunk_refs)
     simulator = Cache2000(
         cache_config,

@@ -228,7 +228,8 @@ class TestRegistry:
 
 class TestLedger:
     def test_attached_ledger_records_each_compile(self, tmp_path):
-        registry = KernelRegistry(ledger_dir=tmp_path)
+        registry = KernelRegistry()
+        registry.attach_ledger(tmp_path)
         program = registry.get(cache_request(CFG))
         registry.get(cache_request(CFG))  # hit: no new record
         records = read_ledger(tmp_path)
@@ -246,14 +247,16 @@ class TestLedger:
         assert list(tmp_path.iterdir()) == []
 
     def test_read_ledger_skips_torn_tail(self, tmp_path):
-        registry = KernelRegistry(ledger_dir=tmp_path)
+        registry = KernelRegistry()
+        registry.attach_ledger(tmp_path)
         registry.get(cache_request(CFG))
         with open(registry.ledger_path, "a") as handle:
             handle.write('{"kind": "cach')  # a torn write
         assert len(read_ledger(tmp_path)) == 1
 
     def test_clear_ledger_reports_and_removes(self, tmp_path):
-        registry = KernelRegistry(ledger_dir=tmp_path)
+        registry = KernelRegistry()
+        registry.attach_ledger(tmp_path)
         registry.get(cache_request(CFG))
         registry.get(cache_request(DM))
         assert clear_ledger(tmp_path) == 2
@@ -299,7 +302,8 @@ class TestCLI:
     def test_kernels_stats_json_reads_the_ledger(self, tmp_path, capsys):
         from repro.cli import main
 
-        registry = KernelRegistry(ledger_dir=tmp_path / "ledger")
+        registry = KernelRegistry()
+        registry.attach_ledger(tmp_path / "ledger")
         registry.get(cache_request(CFG))
         registry.get(cache_request(CFG, force_general=True))
         code = main(
@@ -316,7 +320,8 @@ class TestCLI:
     def test_kernels_clear_round_trip(self, tmp_path, capsys):
         from repro.cli import main
 
-        registry = KernelRegistry(ledger_dir=tmp_path / "ledger")
+        registry = KernelRegistry()
+        registry.attach_ledger(tmp_path / "ledger")
         registry.get(cache_request(CFG))
         assert main(
             ["kernels", "clear", "--ledger-dir", str(tmp_path / "ledger")]

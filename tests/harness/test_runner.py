@@ -90,6 +90,13 @@ class TestTraceDriven:
         assert report.misses > 0
         assert report.slowdown > 10  # the ~20x floor of Figure 2
 
+    @pytest.mark.parametrize("refs", [0, -3])
+    def test_non_positive_budget_rejected(self, refs):
+        with pytest.raises(ConfigError, match="user_refs must be positive"):
+            run_trace_driven(
+                get_workload("espresso"), CacheConfig(size_bytes=4096), refs
+            )
+
     def test_sampled_trace_simulates_fewer_refs(self):
         report = run_trace_driven(
             get_workload("espresso"),
