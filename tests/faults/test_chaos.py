@@ -130,6 +130,18 @@ class TestFullDefaultPlan:
         assert report.ok, report.render()
         exercised = {o.kind for o in report.outcomes}
         assert exercised == {kind.value for kind in FaultKind}
+        # the JSON report ``repro chaos run --report-out`` writes
+        payload = json.loads(report.dumps())
+        assert payload["ok"], "silent fault(s) in the chaos report"
+        silent = [o for o in payload["outcomes"] if o["silent"]]
+        assert not silent, silent
+        assert {o["kind"] for o in payload["outcomes"]} == {
+            "ecc_single", "ecc_double", "dma_trap_clear",
+            "spurious_trap", "trap_clear_drop",
+            "worker_kill", "worker_hang", "cache_garble",
+            "service_crash", "poison_storm", "gc_reader_race",
+        }
+        assert payload["audit_checks"] > 0, "auditor never ran"
 
 
 class TestReport:

@@ -1,5 +1,7 @@
 """Sampled trial runner: interval measurement, estimates, guard rails."""
 
+import statistics
+
 import pytest
 
 from repro.caches.config import CacheConfig
@@ -108,6 +110,44 @@ class TestRunSampledTrials:
         assert len(result.measurements) == 3 * len(plan.samples)
         manifest = result.estimates_manifest()
         assert manifest["misses"]["exact"] is False
+
+    def test_ci_brackets_the_exhaustive_exact_value(self, tmp_path):
+        """At tiny budget on the default interval geometry and plan, the
+        misses estimate's CI covers the mean of exhaustively measuring
+        every interval of the same trials."""
+        from repro.experiments import budget_refs
+        from repro.experiments.table7 import default_interval_refs
+
+        n_trials = 3
+        total_refs = budget_refs("tiny")
+        spec = get_workload("espresso")
+        config = _config()
+        options = RunOptions(total_refs=total_refs, trial_seed=SEED)
+        interval_refs = default_interval_refs(total_refs, options.chunk_refs)
+        store = StreamStore(tmp_path / "streams")
+        with streams_enabled(StreamSession(store=store)):
+            profile = profile_workload(spec, total_refs, interval_refs)
+            plan = build_plan(profile, seed=SEED)
+            result = run_sampled_trials(
+                spec, config, options, plan,
+                n_trials=n_trials, base_seed=SEED, warm_seed=SEED,
+            )
+            exact = statistics.mean(
+                sum(
+                    measure_interval(
+                        spec, config, options, plan, interval,
+                        trial_seed=SEED + trial, warm_seed=SEED,
+                    )["misses"]
+                    for interval in range(plan.n_intervals)
+                )
+                for trial in range(n_trials)
+            )
+        estimate = result.estimates["misses"]
+        assert estimate.brackets(exact), (
+            f"exact {exact:.1f} outside "
+            f"[{estimate.ci_low:.1f}, {estimate.ci_high:.1f}]"
+        )
+        assert result.refs_simulated < result.exact_refs
 
     def test_snapshots_amortize_warm_refs(self, tmp_path):
         spec, options, plan = _setup()
