@@ -3,7 +3,8 @@
 
 ``benchmarks/results/BENCH_*.json`` holds the perf envelopes committed
 by past PRs (the PR 3 kernel speedups, the PR 5/6 stream and sampling
-frontiers, the PR 8 pass-pipeline dispatch envelope).  Those numbers back claims in the docs — and nothing until
+frontiers, the PR 8 pass-pipeline dispatch envelope, kept as history
+after its benchmark was retired).  Those numbers back claims in the docs — and nothing until
 now re-read them.  This script:
 
 * loads every ``BENCH_*.json`` under the results directory (plus any

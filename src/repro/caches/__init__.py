@@ -16,7 +16,6 @@ from repro.caches.replacement import (
     make_policy,
 )
 from repro.caches.cache import SetAssociativeCache, MissOutcome
-from repro.caches.kernels import GroupedSetKernel, supports_policy
 from repro.caches.gridsweep import (
     DistanceHistogram,
     GridSweepReport,
@@ -27,11 +26,9 @@ from repro.caches.gridsweep import (
 )
 from repro.caches.pipeline import (
     KernelProgram,
-    KernelRegistry,
     KernelRequest,
     cache_request,
     compile_kernel,
-    default_registry,
     grid_request,
     scan_request,
     sweep_request,
@@ -60,14 +57,10 @@ __all__ = [
     "make_policy",
     "SetAssociativeCache",
     "MissOutcome",
-    "GroupedSetKernel",
-    "supports_policy",
     "KernelProgram",
-    "KernelRegistry",
     "KernelRequest",
     "cache_request",
     "compile_kernel",
-    "default_registry",
     "scan_request",
     "sweep_request",
     "tlb_request",

@@ -4,7 +4,7 @@ Figure 1's caption names single-pass stack simulators as the classic
 answer to trace-driven repetition cost; this module generalizes the two
 narrow corners the repo already had (``MultiSizeDMSweep``'s power-of-two
 DM sizes, ``StackSimulator``'s fully-associative LRU) to the *whole*
-``(set-counts × ways)`` LRU grid: for each set count the compiled grid
+``(set-counts × ways)`` LRU grid: for each set count the composed grid
 kernel (:func:`repro.caches.pipeline.compose.compose_grid`) extracts
 per-set LRU stack distances in one pass over the chunk, and a recorded
 distance ``d`` means a hit at every associativity ``A > d`` — so a 4×8
@@ -128,7 +128,7 @@ class GridSweepSimulator:
             )
         self.grid = grid
         program = compile_kernel(grid_request(grid, policy, profile))
-        #: the pipeline's capability report (always the grid kernel)
+        #: the selection's capability report (always the grid kernel)
         self.capabilities = program.capabilities
         self._run = program.run
         self._extract = program.extract

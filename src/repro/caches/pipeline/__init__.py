@@ -1,47 +1,31 @@
-"""Pass-pipeline kernel compilation for the chunk engine.
+"""Kernel selection and composition for the chunk engine.
 
-Given a ``(geometry, policy, indexing, tracing, fault-plan, telemetry)``
-configuration, this package composes a specialized chunk-access kernel
-*once* — normalization → capability analysis → kernel selection →
-composition → rescan binding → optional profiling shims → finalize —
-caches it in a keyed registry (config fingerprint +
-:data:`KERNEL_CODE_VERSION` salt), and hands back a callable the hot
-loop invokes with zero per-chunk dispatch.
+Given a ``(geometry, policy, indexing, profiling, mechanisms)``
+configuration, this package selects one kernel path, composes a
+specialized chunk-access kernel for it *once*, memoizes it per process,
+and hands back a program the hot loop invokes with zero per-chunk
+dispatch.
 
-``Cache2000``, ``MultiSizeDMSweep``, ``SimulatedTLB`` and the CPU chunk
-engine all request kernels here instead of branching inline; the
-capability report on each program is the single source of truth for
-which path a configuration runs and why.  See "Kernel pass pipeline" in
+``Cache2000``, ``MultiSizeDMSweep``, ``GridSweepSimulator``,
+``SimulatedTLB`` and the CPU chunk engine all request kernels here
+instead of branching inline; the capability report on each program says
+which path a configuration runs and why.  See "Kernel selection" in
 docs/INTERNALS.md.
 """
 
-from repro.caches.pipeline.capability import (
-    KERNEL_PATHS,
+from repro.caches.pipeline.compose import (
     CapabilityReport,
-    analyze,
-)
-from repro.caches.pipeline.passes import (
-    PIPELINE_PASSES,
-    KernelBuild,
-    KernelPass,
     KernelProgram,
-    run_pipeline,
+    select_kernel,
 )
 from repro.caches.pipeline.registry import (
-    DEFAULT_LEDGER_DIR,
-    KernelRegistry,
-    clear_ledger,
     compile_kernel,
-    default_registry,
-    read_ledger,
     reset_default_registry,
+    run_pipeline,
 )
 from repro.caches.pipeline.request import (
-    KERNEL_CODE_VERSION,
-    KERNEL_KINDS,
     KernelRequest,
     cache_request,
-    fingerprint_request,
     grid_request,
     scan_request,
     sweep_request,
@@ -49,28 +33,16 @@ from repro.caches.pipeline.request import (
 )
 
 __all__ = [
-    "KERNEL_CODE_VERSION",
-    "KERNEL_KINDS",
-    "KERNEL_PATHS",
-    "DEFAULT_LEDGER_DIR",
     "CapabilityReport",
-    "KernelBuild",
-    "KernelPass",
     "KernelProgram",
-    "KernelRegistry",
     "KernelRequest",
-    "PIPELINE_PASSES",
-    "analyze",
     "cache_request",
-    "clear_ledger",
     "compile_kernel",
-    "default_registry",
-    "fingerprint_request",
     "grid_request",
-    "read_ledger",
     "reset_default_registry",
     "run_pipeline",
     "scan_request",
+    "select_kernel",
     "sweep_request",
     "tlb_request",
 ]

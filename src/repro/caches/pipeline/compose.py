@@ -1,40 +1,60 @@
-"""Kernel composition: close a specialized chunk kernel over one config.
+"""Kernel selection and composition: one specialized chunk kernel per config.
 
-Each ``compose_*`` factory takes a build context (request + capability
-report) and returns the program *fields* — plain closures with every
-configuration constant bound in cells at compose time:
+:func:`select_kernel` is the *single* place the fast-path/general-path
+decision is made; it maps a request to a kernel path and records why:
+
+* **direct-mapped caches** always take ``dm``: the victim is forced and
+  the replacement policy is never consulted, so even seeded-random
+  configs ride the pure-numpy ``dm_grouped_pass``;
+* **LRU/FIFO** take ``grouped`` (``tlb_grouped``) at any associativity —
+  per-set state independence makes the stable-sorted set-by-set replay
+  exact (the Mattson congruence-class argument);
+* a **non-groupable policy** (seeded random draws its RNG in global
+  miss order, which grouping would permute) takes ``general``
+  (``tlb_general``) with reason ``policy:<name>``;
+* **force_general** pins the per-reference path for differential
+  testing, with reason ``forced:request``;
+* **grid** requests (all-associativity sweeps) take the one-pass
+  stack-distance kernel and are exact for LRU only — any other policy
+  is rejected.
+
+Each ``compose_*`` factory then returns the program *fields* — plain
+closures with every configuration constant bound in cells at compose
+time:
 
 * the line shift, set mask and key packing are literals in the closure,
   not attribute lookups on a config object;
 * the virtual/physical space mapping is selected once (physical kernels
   never add a space term at all);
 * power-of-two modulo is strength-reduced to a bit-and;
-* the profiling shim is *absent* unless the request asked for it (see
-  :mod:`repro.caches.pipeline.passes`), so the hot loop pays no
+* ``phase_name`` names the profiling phase the registry wraps around
+  ``run`` *only* when the request asked for it, so the hot loop pays no
   session lookup per chunk.
 
-Everything stays bit-identical to the pre-pipeline dispatch: the
-closures call the very same :func:`~repro.caches.kernels.
+The closures call the shared :func:`~repro.caches.kernels.
 dm_grouped_pass` / :func:`~repro.caches.kernels.grouped_stack_pass`
 primitives, the general paths loop the very same per-reference
 ``access`` methods, and ``tests/property/test_kernel_equivalence.py``
-sweeps the whole grid to prove it.
+sweeps the whole grid to prove them bit-identical.
 
 Programs are stateless and shared: mutable simulation state is created
 per simulator by ``make_state`` and threaded through ``run`` — so one
-compiled program can serve any number of concurrently-live simulators
+composed program can serve any number of concurrently-live simulators
 of the same configuration.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro._types import Indexing
 from repro.caches.cache import SetAssociativeCache
 from repro.caches.kernels import (
+    GROUPABLE_POLICIES,
     MAX_SPACES,
     collapse_consecutive,
     dm_grouped_pass,
@@ -42,7 +62,88 @@ from repro.caches.kernels import (
     grouped_distance_pass,
     grouped_stack_pass,
 )
+from repro.caches.pipeline.request import KernelRequest
+from repro.caches.replacement import make_policy
 from repro.errors import ConfigError
+
+
+@dataclass(frozen=True)
+class CapabilityReport:
+    """Which kernel path serves a request, and why."""
+
+    selected: str
+    reasons: tuple[str, ...] = ()
+
+    @property
+    def general(self) -> bool:
+        """True when the exact per-reference path was selected."""
+        return self.selected in ("general", "tlb_general")
+
+
+@dataclass(frozen=True)
+class KernelProgram:
+    """One composed, memoizable kernel.
+
+    Stateless by construction: mutable simulation state comes from
+    ``make_state`` and is threaded through ``run`` by the caller, so a
+    single program serves every simulator of its configuration.
+    """
+
+    request: KernelRequest
+    capabilities: CapabilityReport
+    #: chunk kernels: (state, addresses/vpns, tid) -> misses
+    run: Callable | None = None
+    make_state: Callable | None = None
+    resident_keys: Callable | None = None
+    occupancy: Callable | None = None
+    #: grid kernels: (state) -> exact per-cell misses + histograms
+    extract: Callable | None = None
+    #: scan kernels: candidate-mask collection + rescan binding
+    collect: Callable | None = None
+    granules_of: Callable | None = None
+    bind_rescans: Callable | None = None
+    use_ecc: bool = False
+    use_pages: bool = False
+    use_breakpoints: bool = False
+
+    @property
+    def is_fast(self) -> bool:
+        return not self.capabilities.general
+
+
+def select_kernel(request: KernelRequest) -> CapabilityReport:
+    """Validate ``request`` and map it to its kernel path."""
+    kind = request.kind
+    if kind not in ("cache", "tlb", "grid", "scan"):
+        raise ConfigError(
+            f"unknown kernel kind {kind!r}; choose from cache, tlb, grid, scan"
+        )
+    if kind != "scan" and getattr(request, kind) is None:
+        raise ConfigError(f"{kind} kernel request carries no {kind} config")
+    if request.policy is not None:
+        make_policy(request.policy)  # raises on unknown names
+    if kind == "scan":
+        return CapabilityReport("scan")
+    if kind == "grid":
+        if request.policy not in (None, "lru"):
+            raise ConfigError(
+                f"grid sweeps are exact for LRU only (stack inclusion); "
+                f"got {request.policy!r} — run those configurations "
+                f"per-config instead"
+            )
+        return CapabilityReport("grid", ("lru-stack-inclusion",))
+    prefix = "tlb_" if kind == "tlb" else ""
+    if not request.force_general:
+        if kind == "cache" and request.cache.associativity == 1:
+            return CapabilityReport("dm")
+        if request.policy in GROUPABLE_POLICIES:
+            return CapabilityReport(prefix + "grouped")
+    reasons = []
+    if request.force_general:
+        reasons.append("forced:request")
+    if request.policy is not None and request.policy not in GROUPABLE_POLICIES:
+        reasons.append(f"policy:{request.policy}")
+    return CapabilityReport(prefix + "general", tuple(reasons))
 
 
 def _space_fn(indexing: Indexing):
@@ -73,9 +174,9 @@ def _decode(key: int, line_shift: int) -> tuple[int, int]:
 # cache kernels
 # ---------------------------------------------------------------------------
 
-def compose_cache_dm(build) -> dict:
+def compose_cache_dm(request: KernelRequest) -> dict:
     """Direct-mapped chunk kernel: pure numpy, any policy."""
-    config = build.request.cache
+    config = request.cache
     line_shift = config.line_shift
     set_mask = config.n_sets - 1
     n_sets = config.n_sets
@@ -130,14 +231,14 @@ def compose_cache_dm(build) -> dict:
     }
 
 
-def compose_cache_grouped(build) -> dict:
+def compose_cache_grouped(request: KernelRequest) -> dict:
     """Grouped-set stack replay: exact for LRU/FIFO, any associativity."""
-    config = build.request.cache
+    config = request.cache
     line_shift = config.line_shift
     set_mask = config.n_sets - 1
     n_sets = config.n_sets
     associativity = config.associativity
-    lru = build.request.policy == "lru"
+    lru = request.policy == "lru"
     space_of = _space_fn(config.indexing)
 
     def make_state(policy=None) -> list[list[int]]:
@@ -182,14 +283,14 @@ def compose_cache_grouped(build) -> dict:
     }
 
 
-def compose_cache_general(build) -> dict:
+def compose_cache_general(request: KernelRequest) -> dict:
     """The exact per-reference path over ``SetAssociativeCache``.
 
     ``make_state`` accepts the *caller's* policy instance so a seeded
     random policy keeps drawing from its own RNG stream in global miss
     order — the property grouping cannot preserve.
     """
-    config = build.request.cache
+    config = request.cache
 
     def make_state(policy=None) -> SetAssociativeCache:
         return SetAssociativeCache(config, policy)
@@ -216,7 +317,7 @@ def compose_cache_general(build) -> dict:
 # TLB kernels (state lives on the SimulatedTLB instance passed to run)
 # ---------------------------------------------------------------------------
 
-def compose_tlb_grouped(build) -> dict:
+def compose_tlb_grouped(request: KernelRequest) -> dict:
     """The grouped TLB chunk path, counters included.
 
     Bit-identical to calling ``SimulatedTLB.access`` per reference —
@@ -224,11 +325,11 @@ def compose_tlb_grouped(build) -> dict:
     reference, one insertion per miss) and the final entry state shared
     with the trap-driven ``miss_insert`` path.
     """
-    config = build.request.tlb
+    config = request.tlb
     page_shift = config.pages_per_entry.bit_length() - 1
     set_mask = config.n_sets - 1
     associativity = config.effective_associativity
-    lru = build.request.policy == "lru"
+    lru = request.policy == "lru"
 
     def run(tlb, tid: int, vpns) -> int:
         vpns = np.asarray(vpns, dtype=np.int64)
@@ -255,7 +356,7 @@ def compose_tlb_grouped(build) -> dict:
     return {"run": run, "phase_name": "kernels.tlb_chunk"}
 
 
-def compose_tlb_general(build) -> dict:
+def compose_tlb_general(request: KernelRequest) -> dict:
     """The per-reference TLB loop, for non-groupable policies."""
 
     def run(tlb, tid: int, vpns) -> int:
@@ -318,7 +419,7 @@ class GridState:
         self.distance_secs = 0.0
 
 
-def compose_grid(build) -> dict:
+def compose_grid(request: KernelRequest) -> dict:
     """One stack-distance pass per set count prices every ways column.
 
     For each requested set count the chunk is stable-sorted by set and
@@ -333,7 +434,7 @@ def compose_grid(build) -> dict:
     :func:`dm_grouped_pass` per set count, keeping the old dm_sweep
     kernel's speed.
     """
-    grid = build.request.grid
+    grid = request.grid
     line_shift = grid.line_shift
     set_counts = grid.set_counts
     ways = grid.ways
@@ -458,7 +559,7 @@ def compose_grid(build) -> dict:
 # the chunk engine's trap scan
 # ---------------------------------------------------------------------------
 
-def compose_scan(build) -> dict:
+def compose_scan(request: KernelRequest) -> dict:
     """Candidate-mask collection for the CPU's chunk engine.
 
     Composes one mask contributor per active trap mechanism; the
@@ -466,11 +567,11 @@ def compose_scan(build) -> dict:
     branching.  ``collect`` is None when no mechanism is active — the
     segment has no candidates by construction.
     """
-    mechanisms = build.request.mechanisms
+    mechanisms = request.mechanisms
     use_ecc = "ecc" in mechanisms
     use_pages = "pages" in mechanisms
     use_breakpoints = "breakpoints" in mechanisms
-    granule_shift = build.request.granule_shift
+    granule_shift = request.granule_shift
 
     parts = []
     if use_ecc:
@@ -509,9 +610,19 @@ def compose_scan(build) -> dict:
         def granules_of(pas):
             return None
 
+    def bind_rescans(granules, vpns):
+        """Lazy next-occurrence indexes for the chained trap lookups."""
+        from repro.machine.chunkindex import RescanBinding
+
+        return (
+            RescanBinding(granules, "granule") if use_ecc else None,
+            RescanBinding(vpns, "vpn") if use_pages else None,
+        )
+
     return {
         "collect": collect,
         "granules_of": granules_of,
+        "bind_rescans": bind_rescans,
         "use_ecc": use_ecc,
         "use_pages": use_pages,
         "use_breakpoints": use_breakpoints,
@@ -519,7 +630,7 @@ def compose_scan(build) -> dict:
     }
 
 
-#: capability path -> composer factory
+#: selected kernel path -> composer factory
 COMPOSERS = {
     "dm": compose_cache_dm,
     "grouped": compose_cache_grouped,

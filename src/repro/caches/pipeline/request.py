@@ -1,16 +1,12 @@
-"""Kernel requests: the configuration tuple a compiled kernel answers.
+"""Kernel requests: the configuration tuple a composed kernel answers.
 
 A :class:`KernelRequest` is the *complete* input of kernel composition —
 geometry, replacement policy, indexing, profiling shims, forced-general
 overrides, active trap mechanisms.  It is frozen and hashable so the
-registry can key its in-memory program cache directly on the request,
-and canonical-JSON encodable (every field is a dataclass, enum, tuple or
-scalar) so the same request also has a content-addressed fingerprint:
-SHA-256 over the canonical encoding, salted with
-:data:`KERNEL_CODE_VERSION`.  Bump the salt whenever composition
-semantics change — stale fingerprints then stop matching in the compile
-ledger and cross-process tooling never conflates two generations of
-kernel code.
+registry can memoize composed programs directly on the request.  Which
+kernel a configuration runs is a pure function of the request and the
+code version, so the run manifest's ``config_hash``/``code_version``
+pair already identifies it; requests carry no separate fingerprint.
 
 The policy is carried by *name*, not instance: composed kernels never
 bake replacement state into the closure (the grouped paths need only
@@ -26,16 +22,6 @@ from dataclasses import dataclass
 from repro.caches.config import CacheConfig, GridConfig, TLBConfig
 from repro.errors import ConfigError
 
-#: Salt mixed into every kernel fingerprint.  Bump the version suffix
-#: whenever a change alters what the pipeline composes for a request.
-#: v2: the bespoke dm_sweep kernel became the ways=(1,) column of the
-#: all-associativity ``grid`` kind.
-KERNEL_CODE_VERSION = "repro-kernels-pipeline-v2"
-
-#: the kinds of kernel the pipeline knows how to compose
-KERNEL_KINDS = ("cache", "tlb", "grid", "scan")
-
-
 @dataclass(frozen=True)
 class KernelRequest:
     """One fully-normalized kernel configuration.
@@ -44,7 +30,7 @@ class KernelRequest:
     ``tlb``, ``grid`` — or none for ``scan``, which is configured by
     ``mechanisms`` + ``granule_shift``).  ``profile`` asks for a phase
     timer composed *around* the kernel; ``force_general`` pins the
-    per-reference path regardless of capability analysis.
+    per-reference path regardless of kernel selection.
     """
 
     kind: str
@@ -119,7 +105,7 @@ def grid_request(
     grid: GridConfig, policy=None, profile: bool | None = None
 ) -> KernelRequest:
     """The request for one all-associativity ``(sets × ways)`` sweep
-    kernel.  Exact for LRU only (stack inclusion); the normalize pass
+    kernel.  Exact for LRU only (stack inclusion); kernel selection
     rejects other policies — route those to per-config kernels."""
     return KernelRequest(
         kind="grid",
@@ -187,11 +173,3 @@ def scan_request(
         profile=_profile_default(profile),
     )
 
-
-def fingerprint_request(request: KernelRequest) -> str:
-    """Content address of one request under the current kernel code."""
-    from repro.streams.keys import fingerprint_payload
-
-    return fingerprint_payload(
-        {"request": request, "salt": KERNEL_CODE_VERSION}
-    )

@@ -34,7 +34,7 @@ class SimulatedTLB:
         self.searches = 0
         self.insertions = 0
         program = compile_kernel(tlb_request(config, self.policy))
-        #: the pipeline's capability report: which chunk path, and why
+        #: the selection's capability report: which chunk path, and why
         self.capabilities = program.capabilities
         self._chunk_run = program.run
 
@@ -65,7 +65,7 @@ class SimulatedTLB:
     def access_chunk(self, tid: int, vpns: np.ndarray) -> int:
         """Trace-driven path over a whole chunk of VPNs; returns misses.
 
-        Runs the kernel the pass pipeline compiled for this TLB's
+        Runs the kernel composed for this TLB's
         configuration: under LRU or FIFO replacement a grouped-set pass
         (stable sort by set, consecutive-duplicate collapse, per-run
         stack update) that is bit-identical to calling :meth:`access`

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 from repro import telemetry
 from repro._types import Component, Indexing
 from repro.caches.config import CacheConfig, TLBConfig
-from repro.caches.pipeline import DEFAULT_LEDGER_DIR, clear_ledger
 from repro.core.tapeworm import TapewormConfig
 from repro.errors import ConfigError, ReproError
 from repro.experiments import BUDGET_REFS
@@ -204,11 +203,8 @@ FLAGS: dict[str, Arg] = {
     # store directories
     "cache-dir": Arg("--cache-dir", default=None, metavar="DIR",
                      help="cache directory (default .farm-cache/)"),
-    "ledger-dir": Arg("--ledger-dir", default=None, metavar="DIR",
-                      help="compile-ledger directory (default .kernel-cache/)"),
     "stream-dir": Arg("--stream-dir", default=None, metavar="DIR",
                       help="stream store directory (default .stream-cache/)"),
-    "kernel-dir": Arg("--kernel-dir", default=None, metavar="DIR"),
     "manifest-path": Arg(
         "--manifest-path", default=None, metavar="PATH",
         help=f"manifest log (default {telemetry.DEFAULT_MANIFEST_PATH})",
@@ -401,17 +397,6 @@ def _farm(args: argparse.Namespace, scope: _Scope, fault_plan=None):
     )
 
 
-def _attach_kernel_ledger() -> None:
-    """Record this process's kernel compiles in the on-disk ledger.
-
-    Attached only by CLI entry points — library and test constructions
-    stay ledger-free so they never write into the caller's cwd.
-    """
-    from repro.caches.pipeline import default_registry
-
-    default_registry().attach_ledger(DEFAULT_LEDGER_DIR)
-
-
 def _budget_refs(args: argparse.Namespace) -> int:
     """``--refs`` when given, else the ``--budget`` reference count."""
     return args.refs if args.refs is not None else BUDGET_REFS[args.budget]
@@ -444,7 +429,6 @@ def _print_fault_summary(session) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _attach_kernel_ledger()
     spec = get_workload(args.workload)
     if args.structure == "tlb":
         structure = {
@@ -516,7 +500,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    _attach_kernel_ledger()
     spec = get_workload(args.workload)
     config = CacheConfig(
         size_bytes=args.cache_size,
@@ -585,7 +568,6 @@ def _reproduce_one(
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    _attach_kernel_ledger()
     fault_plan = _load_fault_plan(args)
     sample = None
     if args.sample_mode == "sampled":
@@ -647,7 +629,6 @@ def _cmd_sweep_grid(args: argparse.Namespace) -> int:
     from repro.caches.config import GridConfig
     from repro.caches.gridsweep import grid_job, grid_rows
 
-    _attach_kernel_ledger()
     grid = GridConfig(
         set_counts=tuple(args.sets),
         ways=tuple(args.ways),
@@ -929,8 +910,6 @@ STORES = {
     "farm": Store("cache-dir", DEFAULT_CACHE_DIR,
                   lambda directory: ResultCache(directory).clear(),
                   "cached result(s)"),
-    "kernels": Store("ledger-dir", DEFAULT_LEDGER_DIR, clear_ledger,
-                     "compile record(s)"),
     "streams": Store("stream-dir", DEFAULT_STORE_DIR,
                      lambda directory: StreamStore(directory).clear(),
                      "compiled stream(s)"),
@@ -977,53 +956,6 @@ def _cmd_farm_stats(args: argparse.Namespace) -> int:
     print(f"retries       : {stats['retries']}")
     print(f"corrupt       : {stats['cache_corrupt']}")
     print(f"wall clock    : {stats['wall_clock_secs']:.3f}s")
-    return 0
-
-
-def _cmd_kernels_stats(args: argparse.Namespace) -> int:
-    from repro.caches.pipeline import default_registry, read_ledger
-
-    ledger_dir = STORES["kernels"].path(args)
-    records = read_ledger(ledger_dir)
-    per_kind = Counter(record.get("kind") or "?" for record in records)
-    per_path = Counter(record.get("selected") or "?" for record in records)
-    forced = sum(
-        "forced:request" in (record.get("reasons") or ())
-        for record in records
-    )
-    compile_secs = sum(
-        (float(record.get("compile_secs") or 0.0) for record in records), 0.0
-    )
-    counters = default_registry().counters()
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "ledger_dir": str(ledger_dir),
-                    "ledger_compiles": len(records),
-                    "per_kind": per_kind,
-                    "per_path": per_path,
-                    "forced_general": forced,
-                    "ledger_compile_secs": round(compile_secs, 6),
-                    "registry": counters,
-                },
-                indent=2, sort_keys=True,
-            )
-        )
-        return 0
-    print(f"ledger dir      : {ledger_dir}/")
-    print(f"ledger compiles : {len(records)}")
-    for kind in sorted(per_kind):
-        print(f"  kind {kind:<12}: {per_kind[kind]}")
-    for path in sorted(per_path):
-        print(f"  path {path:<12}: {per_path[path]}")
-    print(f"forced general  : {forced}")
-    print(f"compile seconds : {compile_secs:.6f}")
-    print("registry (this process)")
-    print(f"  programs      : {counters['programs']}")
-    print(f"  compiles      : {counters['compiles']}")
-    print(f"  lookup hits   : {counters['lookup_hits']}")
-    print(f"  lookup misses : {counters['lookup_misses']}")
     return 0
 
 
@@ -1231,7 +1163,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ),
             cache_budget_bytes=args.cache_budget,
             stream_dir=args.stream_dir,
-            kernel_dir=args.kernel_dir,
             shard=args.shard,
         )
     )
@@ -1354,7 +1285,6 @@ def _cmd_jobs_gc(args: argparse.Namespace) -> int:
     collector.collect(
         farm_dir=cache_dir,
         stream_dir=args.stream_dir,
-        kernel_dir=args.kernel_dir,
         shard=args.shard,
     )
     summary = collector.summary()
@@ -1574,13 +1504,6 @@ COMMANDS: dict[str, Command] = {
         ),
         "clear": _clear_command("farm", "drop every cached result"),
     }),
-    "kernels": Command("compiled-kernel pipeline utilities", children={
-        "stats": _stats_command(
-            "kernels", "show compile-ledger and registry counters",
-            _cmd_kernels_stats,
-        ),
-        "clear": _clear_command("kernels", "drop the compile ledger"),
-    }),
     "streams": Command("compiled reference-stream store utilities", children={
         "stats": _stats_command(
             "streams", "show stored blobs and byte totals", _cmd_streams_stats
@@ -1691,7 +1614,6 @@ COMMANDS: dict[str, Command] = {
                 help="after the batch, GC every cache tier down to BYTES "
                      "per tier (journal-leased entries are pinned)"),
             use("stream-dir", help="also GC this stream-store directory"),
-            use("kernel-dir", help="also GC this compile-ledger directory"),
             use("shard",
                 help="migrate the stream tier into two-level shard dirs "
                      "during GC"),
@@ -1719,7 +1641,6 @@ COMMANDS: dict[str, Command] = {
                          "unpinned)"),
                 _JOBS_CACHE_DIR,
                 use("stream-dir", help=None),
-                "kernel-dir",
                 use("shard",
                     help="migrate the stream tier into two-level shard dirs"),
                 use("json", help=None),

@@ -1,10 +1,9 @@
-"""Size-budgeted GC over the three cache tiers.
+"""Size-budgeted GC over the two cache tiers.
 
-A service that runs for days accretes three on-disk caches: the farm
-result store (``.farm-cache/results.jsonl``), the compiled-stream store
-(``.stream-cache/*.npy`` + sidecars) and the kernel compile ledger
-(``.kernel-cache/compiles.jsonl``).  All three are content-addressed and
-append-only, so left alone they only grow.  :class:`CacheGC` brings
+A service that runs for days accretes two on-disk caches: the farm
+result store (``.farm-cache/results.jsonl``) and the compiled-stream
+store (``.stream-cache/*.npy`` + sidecars).  Both are content-addressed
+and append-only, so left alone they only grow.  :class:`CacheGC` brings
 each tier under a byte budget by calling the tier's own eviction — a
 :class:`~repro.store.RecordLog` keeps its newest verified records, a
 :class:`~repro.store.BlobTier` drops least-recently-used blobs,
@@ -72,21 +71,12 @@ class CacheGC:
         store = ResultCache(directory).log
         return self._collect("farm", directory, store, self.pins)
 
-    def collect_kernel_tier(self, directory: str | Path) -> TierReport:
-        """Budget the kernel compile ledger (no pinning: records are
-        provenance, not inputs to in-flight jobs)."""
-        from repro.caches.pipeline.registry import compile_ledger
-
-        store = compile_ledger(directory)
-        return self._collect("kernel", directory, store, frozenset())
-
     # -- the all-tiers entry point
 
     def collect(
         self,
         farm_dir: str | Path | None = None,
         stream_dir: str | Path | None = None,
-        kernel_dir: str | Path | None = None,
         shard: bool = False,
     ) -> list[TierReport]:
         """One pass over every named tier; returns the tier reports."""
@@ -94,8 +84,6 @@ class CacheGC:
             self.collect_farm_tier(farm_dir)
         if stream_dir is not None:
             self.collect_stream_tier(stream_dir, shard=shard)
-        if kernel_dir is not None:
-            self.collect_kernel_tier(kernel_dir)
         return self.reports
 
     def summary(self) -> dict[str, Any]:

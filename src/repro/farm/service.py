@@ -60,9 +60,8 @@ class ServiceConfig:
     )
     #: per-tier cache byte budget enforced by :meth:`FarmService.gc`
     cache_budget_bytes: int | None = None
-    #: stream / kernel cache dirs the GC also tends (None = skip)
+    #: stream store dir the GC also tends (None = skip)
     stream_dir: str | Path | None = None
-    kernel_dir: str | Path | None = None
     #: migrate the stream tier into two-level shard dirs during GC
     shard: bool = False
 
@@ -76,7 +75,7 @@ class FarmService:
         cache_dir = self.farm.cache.directory
         self.journal = JobJournal(cache_dir)
         self.supervisor = WorkerSupervisor(
-            self.config.supervisor, ledger_dir=cache_dir
+            self.config.supervisor, poison_dir=cache_dir
         )
         self.admission = AdmissionController(self.config.admission)
         self.farm.journal = self.journal
@@ -240,7 +239,6 @@ class FarmService:
             collector.collect(
                 farm_dir=self.farm.cache.directory,
                 stream_dir=self.config.stream_dir,
-                kernel_dir=self.config.kernel_dir,
                 shard=self.config.shard,
             )
         # evictions invalidate the farm's in-memory cache index

@@ -131,7 +131,7 @@ class WorkerSupervisor:
     def __init__(
         self,
         config: SupervisorConfig | None = None,
-        ledger_dir: str | Path | None = None,
+        poison_dir: str | Path | None = None,
     ) -> None:
         self.config = config or SupervisorConfig()
         self._strikes: dict[str, list[Strike]] = {}
@@ -145,11 +145,11 @@ class WorkerSupervisor:
         self._last_seen: dict[int, float] = {}
         self._ledger = (
             RecordLog(
-                Path(ledger_dir) / POISON_FILE,
+                Path(poison_dir) / POISON_FILE,
                 quarantine=None,
                 max_bytes=self.config.poison_ledger_bytes,
             )
-            if ledger_dir is not None
+            if poison_dir is not None
             else None
         )
 

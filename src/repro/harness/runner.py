@@ -21,7 +21,6 @@ import numpy as np
 
 from repro._types import Component
 from repro.caches.config import CacheConfig
-from repro.caches.pipeline import default_registry as _kernel_registry
 from repro.caches.replacement import make_policy
 from repro.core.report import TrapRunReport
 from repro.core.tapeworm import Tapeworm, TapewormConfig
@@ -316,7 +315,6 @@ def run_uninstrumented(
     session = _telemetry()
     if session is not None:
         kernel.publish_metrics(session.metrics)
-        _kernel_registry().publish_metrics(session.metrics)
     return kernel
 
 
@@ -347,7 +345,6 @@ def run_system_trace_driven(
     if session is not None:
         kernel.publish_metrics(session.metrics)
         tracer.simulator.publish_metrics(session.metrics)
-        _kernel_registry().publish_metrics(session.metrics)
     report = tracer.report(spec.name)
     report.slowdown = (
         report.overhead_cycles
@@ -409,7 +406,6 @@ def _finish_trap_report(
         stream_session = _streams()
         if stream_session is not None:
             stream_session.publish_metrics(session.metrics)
-        _kernel_registry().publish_metrics(session.metrics)
     return report
 
 
@@ -632,7 +628,6 @@ def run_trace_driven(
         stream_session = _streams()
         if stream_session is not None:
             stream_session.publish_metrics(session.metrics)
-        _kernel_registry().publish_metrics(session.metrics)
 
     report = TraceRunReport(
         workload=spec.name,

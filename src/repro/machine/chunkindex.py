@@ -62,7 +62,7 @@ class PositionIndex:
 class RescanBinding:
     """Lazy, phase-labelled :class:`PositionIndex` over one chunk array.
 
-    The scan kernel's rescan-binding pass hands one of these per
+    The scan kernel's ``bind_rescans`` hands one of these per
     rescannable value array (ECC granules, VPNs); the index is built on
     the *first* lookup — a segment whose traps are all cleared by their
     own handlers and displace nothing later in the chunk never pays the

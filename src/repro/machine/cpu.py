@@ -95,7 +95,7 @@ class CPU:
         self.machine = machine
         self._in_tick = False
         #: compiled scan programs, memoized per active-mechanism tuple —
-        #: a plain dict probe per segment, compiled once by the pipeline
+        #: a plain dict probe per segment, composed once per process
         self._scan_programs: dict[tuple[bool, bool, bool], Any] = {}
         #: per-component totals, for the Monster-style monitor
         self.refs_by_component: dict[Component, int] = {c: 0 for c in Component}
@@ -290,7 +290,7 @@ class CPU:
         # a sorted list is already a heap; a position seeded by two
         # mechanisms is popped twice in a row and skipped the second time
         heap = np.sort(np.concatenate(seeds)).tolist()
-        # Rescan bindings from the pipeline's binding pass: the
+        # Rescan bindings from the composed scan kernel: the
         # PositionIndex is built lazily on the first chained lookup, and
         # "next occurrence of this granule/VPN after position i" is then
         # three bisects, not an O(chunk) scan.

@@ -38,7 +38,7 @@ KNOWN_PHASES = (
     "kernels.grouped_set",
     "kernels.dm_pass",
     "kernels.tlb_chunk",
-    "kernels.pipeline.compose",
+    "kernels.grid_pass",
     "machine.rescan_index",
     "streams.blob_map",
     "streams.snapshot_fork",

@@ -19,13 +19,13 @@ Pixie's generation share) and misses add a replacement premium; the
 premium makes Cache2000's slowdown fall from ~30 at a 0.118 miss ratio
 toward ~22 at zero, as in Figure 2's table.
 
-Which execution path serves a configuration is decided *once*, by the
-kernel pass pipeline (:mod:`repro.caches.pipeline`): direct-mapped and
+Which execution path serves a configuration is decided *once*, by
+kernel selection (:mod:`repro.caches.pipeline`): direct-mapped and
 LRU/FIFO configs get a vectorized grouped-set kernel, everything else
 (seeded-random replacement consumes its RNG in global miss order, which
 grouping would permute) gets the exact per-address path over the shared
-:class:`~repro.caches.cache.SetAssociativeCache`.  The compiled program
-is fetched from the keyed registry at construction and invoked with
+:class:`~repro.caches.cache.SetAssociativeCache`.  The composed program
+is fetched from the per-process memo at construction and invoked with
 zero per-chunk dispatch; ``capabilities`` reports the decision and its
 reasons.  ``force_general_path=True`` pins the reference path for
 differential testing — forwarded into the request, never branched on
@@ -72,7 +72,7 @@ class Cache2000:
             )
         )
         self._program = program
-        #: the pipeline's capability report: which path, and why
+        #: the selection's capability report: which path, and why
         self.capabilities = program.capabilities
         self._run = program.run
         self._state = program.make_state(self.policy)

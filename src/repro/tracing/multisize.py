@@ -42,7 +42,7 @@ class MultiSizeDMSweep:
 
     Since PR 10 this is the ``ways=(1,)`` column of the all-
     associativity grid engine: ``sweep_request`` adapts the size list
-    into a :class:`~repro.caches.config.GridConfig` and the compiled
+    into a :class:`~repro.caches.config.GridConfig` and the composed
     grid kernel's direct-mapped specialization runs one pure-numpy
     :func:`~repro.caches.kernels.dm_grouped_pass` per set count — the
     same exact kernel Cache2000's DM fast path uses.
@@ -61,7 +61,7 @@ class MultiSizeDMSweep:
             raise ConfigError("duplicate sizes in sweep")
         self.line_shift = self.configs[0].line_shift
         program = compile_kernel(sweep_request(self.configs))
-        #: the pipeline's capability report (always the grid kernel)
+        #: the selection's capability report (always the grid kernel)
         self.capabilities = program.capabilities
         self._run = program.run
         self._extract = program.extract

@@ -1,4 +1,5 @@
-"""Unit tests for the grouped-set simulation kernels."""
+"""Unit tests for the grouped-set replay primitives and the cache
+kernels composed from them (driven through :class:`Cache2000`)."""
 
 import numpy as np
 import pytest
@@ -7,12 +8,10 @@ from repro._types import Indexing
 from repro.caches.cache import SetAssociativeCache
 from repro.caches.config import CacheConfig
 from repro.caches.kernels import (
-    GroupedSetKernel,
     MAX_SPACES,
     collapse_consecutive,
     dm_grouped_pass,
     grouped_stack_pass,
-    supports_policy,
 )
 from repro.caches.replacement import (
     FIFOPolicy,
@@ -21,32 +20,43 @@ from repro.caches.replacement import (
     make_policy,
 )
 from repro.errors import ConfigError
+from repro.tracing.cache2000 import Cache2000
 
 
 def _addrs(*values):
     return np.array(values, dtype=np.int64)
 
 
+def _selected(config, policy):
+    return Cache2000(config, policy).capabilities
+
+
 # ---------------------------------------------------------------------------
-# policy dispatch predicate
+# which policies the grouped kernel serves
 # ---------------------------------------------------------------------------
 
 def test_supports_policy():
-    assert supports_policy(LRUPolicy())
-    assert supports_policy(FIFOPolicy())
-    assert not supports_policy(RandomPolicy(seed=1))
-    assert not supports_policy(None)
+    config = CacheConfig(size_bytes=64, line_bytes=16, associativity=2)
+    assert _selected(config, LRUPolicy()).selected == "grouped"
+    assert _selected(config, FIFOPolicy()).selected == "grouped"
+    assert _selected(config, RandomPolicy(seed=1)).selected == "general"
+    # no policy object means the LRU default, which groups
+    assert _selected(config, None).selected == "grouped"
 
 
 def test_kernel_rejects_ungroupable_policy():
-    with pytest.raises(ConfigError):
-        GroupedSetKernel(CacheConfig(size_bytes=64, line_bytes=16), "random")
+    """The grouped kernel is never selected for a policy it cannot
+    replay exactly; the config runs the per-reference path instead."""
+    config = CacheConfig(size_bytes=64, line_bytes=16, associativity=2)
+    report = _selected(config, make_policy("random", seed=1))
+    assert report.general
+    assert report.reasons == ("policy:random",)
 
 
 def test_kernel_rejects_out_of_range_space():
-    kernel = GroupedSetKernel(CacheConfig(size_bytes=64, line_bytes=16))
+    sim = Cache2000(CacheConfig(size_bytes=64, line_bytes=16))
     with pytest.raises(ConfigError):
-        kernel.simulate_chunk(_addrs(0x0), space=MAX_SPACES)
+        sim.simulate_chunk(_addrs(0x0), tid=MAX_SPACES)
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +111,12 @@ def test_collapse_consecutive_drops_only_adjacent_repeats():
 
 def test_kernel_spatial_locality_hits_collapse():
     """4 word-refs per 16-byte line: 1 miss, 3 collapsed hits."""
-    kernel = GroupedSetKernel(
+    sim = Cache2000(
         CacheConfig(size_bytes=128, line_bytes=16, associativity=2)
     )
-    assert kernel.simulate_chunk(_addrs(0x0, 0x4, 0x8, 0xC)) == 1
-    assert kernel.occupancy() == 1
+    assert sim.capabilities.selected == "grouped"
+    assert sim.simulate_chunk(_addrs(0x0, 0x4, 0x8, 0xC)) == 1
+    assert sim.resident_lines() == 1
 
 
 def test_kernel_resident_keys_decode_spaces():
@@ -113,16 +124,17 @@ def test_kernel_resident_keys_decode_spaces():
         size_bytes=64, line_bytes=16, associativity=2,
         indexing=Indexing.VIRTUAL,
     )
-    kernel = GroupedSetKernel(config)
-    kernel.simulate_chunk(_addrs(0x100), space=3)
-    assert kernel.resident_keys() == {(3, 0x100)}
-    assert len(kernel) == 1
+    sim = Cache2000(config)
+    sim.simulate_chunk(_addrs(0x100), tid=3)
+    assert sim.resident_keys() == {(3, 0x100)}
+    assert sim.resident_lines() == 1
 
 
 def test_kernel_matches_reference_across_chunk_boundaries():
     """State carries over between chunks exactly as the reference's."""
     config = CacheConfig(size_bytes=128, line_bytes=16, associativity=4)
-    kernel = GroupedSetKernel(config, "lru")
+    sim = Cache2000(config, make_policy("lru"))
+    assert sim.capabilities.selected == "grouped"
     reference = SetAssociativeCache(config, make_policy("lru"))
     rng = np.random.default_rng(5)
     for size in (1, 7, 64, 255, 3):
@@ -131,5 +143,5 @@ def test_kernel_matches_reference_across_chunk_boundaries():
         for addr in addrs.tolist():
             hit, _ = reference.access(0, addr)
             expected += not hit
-        assert kernel.simulate_chunk(addrs) == expected
-    assert kernel.resident_keys() == reference.resident_keys()
+        assert sim.simulate_chunk(addrs) == expected
+    assert sim.resident_keys() == reference.resident_keys()

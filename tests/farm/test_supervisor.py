@@ -51,7 +51,7 @@ class TestPoisoning:
 
     def test_poison_is_ledgered_as_jsonl(self, tmp_path):
         supervisor = WorkerSupervisor(
-            SupervisorConfig(poison_strikes=2), ledger_dir=tmp_path
+            SupervisorConfig(poison_strikes=2), poison_dir=tmp_path
         )
         supervisor.record_strike("k", STRIKE_WORKER_CRASH, "", 0)
         supervisor.record_strike("k", STRIKE_WORKER_CRASH, "", 1)
@@ -65,7 +65,7 @@ class TestPoisoning:
     def test_poison_ledger_rotates_under_its_budget(self, tmp_path):
         supervisor = WorkerSupervisor(
             SupervisorConfig(poison_strikes=1, poison_ledger_bytes=400),
-            ledger_dir=tmp_path,
+            poison_dir=tmp_path,
         )
         for i in range(8):
             supervisor.record_strike(f"job-{i}", STRIKE_WORKER_CRASH, "", i)

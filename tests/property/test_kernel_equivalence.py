@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro._types import Indexing
 from repro.caches.cache import SetAssociativeCache
 from repro.caches.config import CacheConfig, TLBConfig
-from repro.caches.kernels import GroupedSetKernel, supports_policy
 from repro.caches.replacement import make_policy
 from repro.caches.tlb import SimulatedTLB
 from repro.tracing.cache2000 import Cache2000
@@ -70,10 +69,14 @@ def test_cache2000_paths_bit_identical(associativity, policy_name, indexing):
 @pytest.mark.parametrize("associativity", ASSOCIATIVITIES)
 @pytest.mark.parametrize("policy_name", ("lru", "fifo"))
 def test_kernel_matches_reference_cache_directly(associativity, policy_name):
-    """The kernel itself (not just Cache2000 dispatch) vs the reference."""
+    """The composed kernel vs the reference cache itself (not the
+    forced-general Cache2000 path)."""
     rng = np.random.default_rng(99 + associativity)
     config = _config(associativity, Indexing.VIRTUAL)
-    kernel = GroupedSetKernel(config, policy_name)
+    kernel = Cache2000(config, make_policy(policy_name))
+    assert kernel.capabilities.selected == (
+        "dm" if associativity == 1 else "grouped"
+    )
     reference = SetAssociativeCache(config, make_policy(policy_name))
     for _ in range(10):
         tid = int(rng.integers(0, 4))
@@ -82,15 +85,14 @@ def test_kernel_matches_reference_cache_directly(associativity, policy_name):
         for addr in addrs.tolist():
             hit, _ = reference.access(tid, addr)
             ref_misses += not hit
-        assert kernel.simulate_chunk(addrs, space=tid) == ref_misses
-    assert kernel.occupancy() == reference.occupancy()
+        assert kernel.simulate_chunk(addrs, tid=tid) == ref_misses
+    assert kernel.resident_lines() == reference.occupancy()
     assert kernel.resident_keys() == reference.resident_keys()
 
 
 def test_random_policy_routes_to_general_path():
     config = _config(2, Indexing.PHYSICAL)
     policy = make_policy("random", seed=11)
-    assert not supports_policy(policy)
     sim = Cache2000(config, policy=policy)
     assert sim.capabilities.general
     assert sim.capabilities.selected == "general"
@@ -146,9 +148,9 @@ def test_property_paths_agree_on_any_stream(
 
 
 # ---------------------------------------------------------------------------
-# the full pipeline sweep: every compiled kernel vs the reference path,
+# the full sweep: every composed kernel vs the reference path,
 # with tracing (telemetry profiling) and fault sessions toggled — the
-# pipeline's shims and environment probes must never change results
+# profiling shims and environment probes must never change results
 # ---------------------------------------------------------------------------
 
 import contextlib

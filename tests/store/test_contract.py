@@ -1,8 +1,8 @@
 """The shared persistence contract, run against every on-disk store.
 
 Each tier adapter drives one store through its own public API: the
-record-log tiers (farm results, job journal, kernel compile ledger, run
-manifests) and the blob tier (compiled streams).  Every tier must:
+record-log tiers (farm results, job journal, run manifests) and the
+blob tier (compiled streams).  Every tier must:
 
 - quarantine and count a torn tail, a flipped byte and a garbage line,
   and never serve them;
@@ -24,11 +24,6 @@ import numpy as np
 import pytest
 
 import repro.store
-from repro.caches.pipeline.registry import (
-    LEDGER_NAME,
-    clear_ledger,
-    compile_ledger,
-)
 from repro.cli import main
 from repro.errors import ReproError
 from repro.farm import CacheGC, Job, JobJournal
@@ -159,39 +154,6 @@ class JournalTier(_LogTier):
         return keys
 
 
-class KernelLedgerTier(_LogTier):
-    name = "kernel_ledger"
-    log_name = LEDGER_NAME
-    quarantine_name = "compiles.quarantine.jsonl"
-
-    def seed(self, d: Path, n: int = 3) -> list[str]:
-        compile_ledger(d).append(
-            [{"fingerprint": f"f{i}", "kind": "cache", "selected": "grouped"}
-             for i in range(n)]
-        )
-        return [f"f{i}" for i in range(n)]
-
-    def served(self, d: Path) -> tuple[set[str], int]:
-        ledger = compile_ledger(d)
-        return {r["fingerprint"] for r in ledger.records()}, ledger.corrupt
-
-    def clear(self, d: Path) -> None:
-        clear_ledger(d)
-
-    def write_legacy(self, d: Path) -> list[str]:
-        # compile records were never CRC-stamped before
-        lines = [
-            _legacy_line({"fingerprint": f"f{i}", "kind": "cache",
-                          "selected": "grouped", "reasons": [],
-                          "policy": "lru", "profile": False,
-                          "compile_secs": 0.01, "created_unix": 1.0},
-                         crc=False)
-            for i in range(3)
-        ]
-        (d / LEDGER_NAME).write_text("\n".join(lines) + "\n")
-        return ["f0", "f1", "f2"]
-
-
 def _manifest(seed: int) -> RunManifest:
     return RunManifest(
         kind="run", name=f"run-{seed}", configuration="16K",
@@ -283,7 +245,7 @@ class StreamTier:
         return keys
 
 
-LOG_TIERS = [ResultsTier(), JournalTier(), KernelLedgerTier(), ManifestTier()]
+LOG_TIERS = [ResultsTier(), JournalTier(), ManifestTier()]
 ALL_TIERS = LOG_TIERS + [StreamTier()]
 
 

@@ -142,24 +142,22 @@ class TestKernelPhases:
         return rng.integers(0, 1 << 16, size=4_096, dtype=np.int64)
 
     def test_dm_and_grouped_set_phases_fire_without_changing_misses(self):
-        import numpy as np  # noqa: F401  (addresses helper)
-
         from repro.caches.config import CacheConfig
-        from repro.caches.kernels import GroupedSetKernel
+        from repro.tracing.cache2000 import Cache2000
 
         addresses = self._addresses()
-        baseline_dm = GroupedSetKernel(
+        baseline_dm = Cache2000(
             CacheConfig(size_bytes=2048)
         ).simulate_chunk(addresses)
-        baseline_4way = GroupedSetKernel(
+        baseline_4way = Cache2000(
             CacheConfig(size_bytes=2048, associativity=4)
         ).simulate_chunk(addresses)
 
         with enabled(profile=True) as session:
-            dm = GroupedSetKernel(
+            dm = Cache2000(
                 CacheConfig(size_bytes=2048)
             ).simulate_chunk(addresses)
-            assoc = GroupedSetKernel(
+            assoc = Cache2000(
                 CacheConfig(size_bytes=2048, associativity=4)
             ).simulate_chunk(addresses)
         assert dm == baseline_dm
@@ -181,3 +179,40 @@ class TestKernelPhases:
             session.metrics.snapshot()["profile.kernels.tlb_chunk"]["count"]
             == 1
         )
+
+    @pytest.mark.parametrize("kind", ("dm", "grouped", "tlb_grouped", "grid"))
+    def test_shimmed_kernel_phases_are_catalogued(self, kind):
+        """Every phase a ``--profile`` kernel records is in KNOWN_PHASES."""
+        from repro.caches.config import CacheConfig, GridConfig, TLBConfig
+        from repro.caches.pipeline import (
+            cache_request,
+            compile_kernel,
+            grid_request,
+            tlb_request,
+        )
+        from repro.caches.tlb import SimulatedTLB
+
+        addresses = self._addresses()
+        with enabled(profile=True) as session:
+            if kind == "tlb_grouped":
+                config = TLBConfig(32)
+                program = compile_kernel(tlb_request(config))
+                program.run(SimulatedTLB(config), 0, addresses >> 12)
+            else:
+                if kind == "grid":
+                    request = grid_request(GridConfig((16, 32), (1, 2)))
+                else:
+                    request = cache_request(CacheConfig(
+                        size_bytes=2048, associativity=1 if kind == "dm" else 4,
+                    ))
+                program = compile_kernel(request)
+                program.run(program.make_state(), addresses, 0)
+        assert program.request.profile
+        assert program.capabilities.selected == kind
+        recorded = {
+            key.split("{")[0][len("profile."):]
+            for key in session.metrics.snapshot()
+            if key.startswith("profile.")
+        }
+        assert recorded, "the profiling shim recorded no phase"
+        assert recorded <= set(KNOWN_PHASES), recorded - set(KNOWN_PHASES)

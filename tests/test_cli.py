@@ -122,33 +122,56 @@ class TestSweepCommand:
         assert "sets" in out and "ways" in out
         assert "passes" in out
 
-    def test_grid_json_matches_per_config_runs(self, capsys):
-        assert main(self.SWEEP + ["--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload["miss_counts"]) == {
-            "32x1", "32x2", "64x1", "64x2"
-        }
-        assert set(payload["stack_distance_hist"]) == {"32", "64"}
-        for hist in payload["stack_distance_hist"].values():
-            assert (
-                sum(hist["counts"]) + hist["overflow"] + hist["cold"]
-                == payload["refs"]
-            )
+    #: (extra argv, set counts, ways, refs): this class's grid, and the
+    #: perf-smoke CI grid whose JSON CI keeps as an artifact
+    GRIDS = [
+        (["--refs", "20000", "--sets", "32,64", "--ways", "1,2"],
+         (32, 64), (1, 2), 20000),
+        (["--budget", "tiny", "--sets", "64,128", "--ways", "1,4",
+          "--no-manifest"],
+         (64, 128), (1, 4), None),
+    ]
 
+    def test_grid_json_matches_per_config_runs(self, capsys):
         from repro.caches.config import GridConfig
+        from repro.experiments import budget_refs
         from repro.tracing.cache2000 import Cache2000
         from repro.tracing.pixie import PixieTracer
         from repro.workloads import get_workload
 
-        grid = GridConfig((32, 64), (1, 2))
-        reference = Cache2000(grid.config_for(64, 2))
-        tracer = PixieTracer(get_workload("espresso"))
-        for chunk in tracer.trace_chunks(20000):
-            reference.simulate_chunk(chunk.addresses, tid=chunk.tid)
-        assert (
-            payload["miss_counts"]["64x2"]
-            == reference.stats.total_misses
-        )
+        for argv, sets, ways, refs in self.GRIDS:
+            assert main(
+                ["sweep", "grid", "--workload", "espresso", *argv, "--json"]
+            ) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert set(payload["miss_counts"]) == {
+                f"{n_sets}x{a}" for n_sets in sets for a in ways
+            }
+            assert set(payload["stack_distance_hist"]) == {
+                str(n_sets) for n_sets in sets
+            }
+            for hist in payload["stack_distance_hist"].values():
+                assert (
+                    sum(hist["counts"]) + hist["overflow"] + hist["cold"]
+                    == payload["refs"]
+                )
+
+            # bit-equality: every cell re-simulated per-config
+            grid = GridConfig(sets, ways)
+            for n_sets in sets:
+                for a in ways:
+                    reference = Cache2000(grid.config_for(n_sets, a))
+                    tracer = PixieTracer(get_workload("espresso"))
+                    for chunk in tracer.trace_chunks(
+                        refs or budget_refs("tiny")
+                    ):
+                        reference.simulate_chunk(
+                            chunk.addresses, tid=chunk.tid
+                        )
+                    assert (
+                        payload["miss_counts"][f"{n_sets}x{a}"]
+                        == reference.stats.total_misses
+                    ), (argv, n_sets, a)
 
     def test_grid_writes_schema_valid_manifest(self, tmp_path, capsys):
         manifest_path = tmp_path / "manifests.jsonl"
