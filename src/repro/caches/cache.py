@@ -8,6 +8,11 @@ One class serves both drivers:
   the address is *known* to be missing, no search happens, and the
   displaced entry is returned so a trap can be set on it (Figure 1, right).
 
+Tapeworm keeps a physically indexed single cache in composed-kernel
+state instead (:class:`KernelCache`), so that its per-trap handler and
+the CPU's batch lane share one state; this class then serves the
+virtually indexed, hierarchical and random-policy configurations.
+
 Keys are ``(space, line_addr)`` pairs: ``space`` is 0 for a
 physically-indexed cache and the owning task id for a virtually-indexed
 one (the paper: "the tid is used to form part of the cache (or TLB) tag").
@@ -17,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import List, Tuple
+
+import numpy as np
 
 from repro._types import Indexing
 from repro.caches.config import CacheConfig
@@ -176,3 +183,43 @@ class SetAssociativeCache:
 
     def __len__(self) -> int:
         return self.occupancy()
+
+
+class KernelCache:
+    """A physically indexed single cache held in composed-kernel state.
+
+    Trap-driven simulation of such a cache keeps its state as the
+    composed ``dm``/``grouped`` kernel's ``make_state()`` so that the
+    per-trap handler (through ``program.insert``) and the CPU's batch
+    lane (through ``program.trap_pass``) advance one and the same
+    state.  This class is the maintenance view over it, with the
+    :class:`SetAssociativeCache` methods page flushes, auditors and
+    tests use.  Keys are ``(0, line_addr)``.
+    """
+
+    def __init__(self, config: CacheConfig, program) -> None:
+        self.config = config
+        self.program = program
+        self.state = program.make_state()
+        self._line_shift = config.line_shift
+
+    def _lines(self, addrs) -> np.ndarray:
+        return np.asarray(addrs, dtype=np.int64) >> self._line_shift
+
+    def contains(self, tid: int, addr: int) -> bool:
+        """Presence test without touching replacement state."""
+        return bool(self.program.resident(self.state, self._lines([addr]))[0])
+
+    def flush_page(self, tid: int, page_addr: int, page_bytes: int) -> list[Key]:
+        """Remove every line of one page; returns the removed keys."""
+        lines = self._lines(
+            np.arange(page_addr, page_addr + page_bytes, self.config.line_bytes)
+        )
+        removed = self.program.flush_lines(self.state, lines)
+        return [(0, line << self._line_shift) for line in removed.tolist()]
+
+    def resident_keys(self) -> set[Key]:
+        return self.program.resident_keys(self.state)
+
+    def occupancy(self) -> int:
+        return self.program.occupancy(self.state)

@@ -45,40 +45,63 @@ MAX_SPACES = 4096
 GROUPABLE_POLICIES = ("lru", "fifo")
 
 
+def _dm_replay(
+    state: np.ndarray, sets: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shared direct-mapped replay step.
+
+    Returns ``(keys_sorted, previous, last)``: the keys stable-sorted by
+    set, the key each reference found in its set (its predecessor in
+    the set's run, or the set's resident key for the run's first
+    reference), and the mask of each run's last reference.  The per-set
+    last key is written back to ``state``.
+    """
+    n = len(sets)
+    order = np.argsort(sets, kind="stable")
+    sets_sorted = sets[order]
+    keys_sorted = keys[order]
+    # run boundaries: boundary[i] is True where position i starts a run
+    # (and position i - 1 ends one)
+    boundary = np.empty(n + 1, dtype=bool)
+    boundary[0] = boundary[n] = True
+    np.not_equal(sets_sorted[1:], sets_sorted[:-1], out=boundary[1:n])
+    first, last = boundary[:n], boundary[1:]
+    previous = np.empty_like(keys_sorted)
+    previous[1:] = keys_sorted[:-1]
+    previous[first] = state[sets_sorted[first]]
+    state[sets_sorted[last]] = keys_sorted[last]
+    return keys_sorted, previous, last
+
+
 def dm_grouped_pass(
-    state: np.ndarray,
-    sets: np.ndarray,
-    keys: np.ndarray,
-    order: np.ndarray | None = None,
+    state: np.ndarray, sets: np.ndarray, keys: np.ndarray
 ) -> int:
     """One exact direct-mapped pass: update ``state``, return misses.
 
     ``state`` maps set index -> resident key (-1 = empty).  A
     direct-mapped set always holds the last key that touched it, so a
     reference misses iff its key differs from its set's previous key;
-    the per-set *last* key is written back.  ``order`` may carry a
-    precomputed stable argsort of ``sets`` (the multi-size sweep shares
-    one across sizes with equal set counts).
+    the per-set *last* key is written back.
     """
-    n = len(sets)
-    if n == 0:
+    if len(sets) == 0:
         return 0
-    if order is None:
-        order = np.argsort(sets, kind="stable")
-    sets_sorted = sets[order]
-    keys_sorted = keys[order]
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    np.not_equal(sets_sorted[1:], sets_sorted[:-1], out=first[1:])
-    previous = np.empty_like(keys_sorted)
-    previous[1:] = keys_sorted[:-1]
-    previous[first] = state[sets_sorted[first]]
-    misses = int(np.count_nonzero(keys_sorted != previous))
-    last = np.empty(n, dtype=bool)
-    last[-1] = True
-    np.not_equal(sets_sorted[1:], sets_sorted[:-1], out=last[:-1])
-    state[sets_sorted[last]] = keys_sorted[last]
-    return misses
+    keys_sorted, previous, _ = _dm_replay(state, sets, keys)
+    return int(np.count_nonzero(keys_sorted != previous))
+
+
+def dm_trap_pass(
+    state: np.ndarray, sets: np.ndarray, keys: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """:func:`dm_grouped_pass` for trap delivery: also report what moved.
+
+    Returns ``(misses, evicted, resident)``: the keys displaced by a
+    miss (one per eviction, in set order) and the final resident key of
+    every set the pass touched.  ``sets`` must be non-empty.
+    """
+    keys_sorted, previous, last = _dm_replay(state, sets, keys)
+    missed = keys_sorted != previous
+    evicted = previous[missed & (previous >= 0)]
+    return int(np.count_nonzero(missed)), evicted, keys_sorted[last]
 
 
 def grouped_stack_pass(

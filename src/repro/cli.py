@@ -316,7 +316,11 @@ def _sessions(args: argparse.Namespace, fault_plan=None) -> Iterator[_Scope]:
             ),
             telemetry=(
                 stack.enter_context(
-                    telemetry.enabled(args.trace_capacity, profile=args.profile)
+                    telemetry.enabled(
+                        args.trace_capacity,
+                        profile=args.profile,
+                        trace_machine=bool(args.trace_out),
+                    )
                 )
                 if _telemetry_wanted(args)
                 else None

@@ -135,6 +135,9 @@ def instrumented_execute(
             trace_capacity=_WORKER_TRACE_CAPACITY,
             profile=bool(ctx.get("profile", False)),
             run_id=run_id or None,
+            # the envelope ships spans and metrics, never the event
+            # trace: recording per-trap events here would be lost work
+            trace_machine=False,
         )
     )
     try:

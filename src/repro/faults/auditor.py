@@ -152,7 +152,7 @@ class TrapInvariantAuditor:
         ecc = self.machine.ecc
         registry = tapeworm.registry
         config = tapeworm.config.cache
-        line_bytes = tapeworm.replacer.line_bytes
+        line_bytes = tapeworm.line_bytes
         virtual = config.indexing is Indexing.VIRTUAL
         sampler = tapeworm.sampler
         trap_levels, all_levels = self._presence_caches()

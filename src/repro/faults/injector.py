@@ -244,8 +244,7 @@ class MachineFaultInjector:
         )
 
     def _line_bytes(self) -> int:
-        replacer = self.tapeworm.replacer
-        return replacer.line_bytes if replacer is not None else GRANULE_BYTES
+        return getattr(self.tapeworm, "line_bytes", GRANULE_BYTES)
 
     def _inject_dma_clear(self, index: int) -> Injection:
         ecc = self.machine.ecc

@@ -7,23 +7,43 @@ vectorized, and enters the kernel only for the references that actually
 trap — the exact analogue of the paper's claim that "Tapeworm uses the
 underlying hardware to filter out hits in the simulated cache structure."
 
-Correct in-order delivery matters: a miss handler *sets* a trap on the
+A chunk runs as fully mapped *segments*: page faults are taken in
+reference order at each page's first unmapped occurrence, found through
+a heap of first occurrences, so a chunk costs O(chunk + faults) however
+many pages it faults in.
+
+Each segment's traps are delivered in one of two lanes, picked per
+segment by :func:`select_lane`, which returns its reasons the way kernel
+selection does:
+
+* **batch** — when ECC is the only active mechanism and nothing
+  observes delivery trap by trap (no per-trap trace, no replaced or
+  wrapped handler, no evaporating stores, no true errors, and a
+  physically indexed single cache whose policy the kernel replays), the
+  whole segment goes to the batch handler Tapeworm installs beside its
+  per-trap handler: one composed-kernel replay of the trap-domain
+  references, with misses, cycles and trap bits derived from counts
+  (``Tapeworm._miss_batch``; "Trap delivery lanes" in docs/INTERNALS.md);
+* **per-trap** — the reference lane, for everything else.
+
+Per-trap delivery must be in order: a miss handler *sets* a trap on the
 displaced line, and if that line is referenced again later in the same
-chunk the hardware must trap there too.  The engine therefore keeps a heap
-of candidate chunk positions, chained by next occurrence: it starts with
-the first trapped occurrence of each ECC granule and page-trapped VPN
-(and every breakpoint hit); after each popped position it queues the
-next occurrence of that position's own granule or VPN if it is still
-trapped, and of every granule or VPN the handler newly trapped (drained
-from the ECC controller's / page table's recent-set log).  Every
-candidate is re-checked against live trap state before dispatch, so
-stale candidates (cleared by an earlier handler) are skipped.  After
-position ``p`` is processed the heap holds the first later occurrence of
-everything trapped at that moment, so the result is bit-identical to a
-reference-at-a-time simulation (``tests/property/
+chunk the hardware must trap there too.  The engine therefore keeps a
+heap of candidate chunk positions, chained by next occurrence: it
+starts with the first trapped occurrence of each ECC granule and
+page-trapped VPN (and every breakpoint hit); after each popped position
+it queues the next occurrence of that position's own granule or VPN if
+it is still trapped, and of every granule or VPN the handler newly
+trapped (drained from the ECC controller's / page table's recent-set
+log).  Every candidate is re-checked against live trap state before
+dispatch, so stale candidates (cleared by an earlier handler) are
+skipped.  After position ``p`` is processed the heap holds the first
+later occurrence of everything trapped at that moment, so the result is
+bit-identical to a reference-at-a-time simulation (``tests/property/
 test_delivery_equivalence.py`` checks exactly that), at numpy chunk
 speed, with one heap entry per trap rather than one per trapped
-reference.
+reference.  ``tests/property/test_batch_lane_equivalence.py`` checks
+the batch lane against this one.
 """
 
 from __future__ import annotations
@@ -36,8 +56,10 @@ import numpy as np
 
 from repro._types import Component, TrapMechanism
 from repro.caches.pipeline import compile_kernel, scan_request
+from repro.machine.chunkindex import PositionIndex
 from repro.machine.mmu import PAGE_SHIFT, PageTable
 from repro.machine.traps import TrapFrame, TrapKind
+from repro.telemetry.profile import phase
 from repro.telemetry.session import active as _telemetry
 
 #: log2 of the ECC check granule (16 bytes).
@@ -88,6 +110,69 @@ class ChunkResult:
         self.ticks += other.ticks
 
 
+@dataclass(frozen=True)
+class LaneReport:
+    """Which delivery lane serves a segment's ECC traps, and why."""
+
+    selected: str
+    reasons: tuple[str, ...] = ()
+
+
+BATCH_LANE = LaneReport("batch")
+
+
+def select_lane(machine, writes: np.ndarray | None = None) -> LaneReport:
+    """Pick the delivery lane for one segment with ECC traps.
+
+    The batch lane hands the whole segment to the batch handler
+    installed beside the ECC per-trap handler.  It needs ECC to be the
+    only active mechanism and nothing to observe delivery trap by
+    trap; otherwise the per-trap lane runs, with these reasons:
+
+    * ``observer:trace`` — the telemetry session records per-trap
+      events;
+    * ``observer:handler`` — the ECC handler or a trap primitive was
+      replaced or wrapped (or no batch handler is installed);
+    * ``mechanism:pages`` / ``mechanism:breakpoints`` — another trap
+      mechanism shares the segment;
+    * ``writes:evaporate`` — stores erase traps on a machine without
+      allocate-on-write;
+    * ``ecc:true-error`` — an injected true error must be classified;
+    * the batch handler's own: ``indexing:virtual`` (a shared frame
+      puts one physical trap under several virtual keys),
+      ``structure:two_level``, ``policy:<name>`` (a policy the grouped
+      replay cannot reproduce).
+    """
+    reasons = []
+    session = _telemetry()
+    if session is not None and session.trace_machine:
+        reasons.append("observer:trace")
+    batch = machine.dispatcher.batch_handler(TrapKind.ECC_ERROR)
+    if batch is None or batch.observed():
+        reasons.append("observer:handler")
+    mechanisms = machine.active_mechanisms
+    if TrapMechanism.PAGE_VALID in mechanisms:
+        reasons.append("mechanism:pages")
+    if (
+        TrapMechanism.BREAKPOINT in mechanisms
+        and machine.breakpoints.n_active() > 0
+    ):
+        reasons.append("mechanism:breakpoints")
+    if (
+        writes is not None
+        and not machine.config.allocate_on_write
+        and writes.any()
+    ):
+        reasons.append("writes:evaporate")
+    if machine.ecc.has_true_errors:
+        reasons.append("ecc:true-error")
+    if batch is not None:
+        reasons.extend(batch.reasons)
+    if not reasons:
+        return BATCH_LANE
+    return LaneReport("per_trap", tuple(reasons))
+
+
 class CPU:
     """Executes reference chunks against a :class:`~repro.machine.machine.Machine`."""
 
@@ -100,6 +185,8 @@ class CPU:
         #: per-component totals, for the Monster-style monitor
         self.refs_by_component: dict[Component, int] = {c: 0 for c in Component}
         self.cycles_by_component: dict[Component, int] = {c: 0 for c in Component}
+        #: segments with ECC traps per delivery lane: LaneReport -> count
+        self.segments_by_lane: dict[LaneReport, int] = {}
 
     # ------------------------------------------------------------------
     # the chunk engine
@@ -137,28 +224,12 @@ class CPU:
         if writes is not None:
             writes = np.ascontiguousarray(writes, dtype=bool)
         table = machine.mmu.table(ctx.tid)
-
-        start = 0
-        while start < len(vas):
-            vpns = vas[start:] >> PAGE_SHIFT
-            unmapped = np.nonzero(table.v2p[vpns] < 0)[0]
-            if len(unmapped) == 0:
-                end = len(vas)
-            elif unmapped[0] == 0:
-                machine.deliver_page_fault(ctx, int(vpns[0]))
-                result.page_faults += 1
-                result.base_cycles += PAGE_FAULT_CYCLES
-                continue
-            else:
-                end = start + int(unmapped[0])
-            self._execute_segment(
-                ctx,
-                table,
-                vas[start:end],
-                result,
-                None if writes is None else writes[start:end],
-            )
-            start = end
+        vpns = vas >> PAGE_SHIFT
+        unmapped = table.v2p[vpns] < 0
+        if not unmapped.any():
+            self._execute_segment(ctx, table, vas, vpns, result, writes)
+        else:
+            self._run_faulting(ctx, table, vas, vpns, unmapped, result, writes)
 
         result.base_cycles += int(round(len(vas) * ctx.cpi))
         self.refs_by_component[ctx.component] += len(vas)
@@ -167,7 +238,7 @@ class CPU:
         ticks = machine.clock.advance(result.base_cycles + result.sim_cycles)
         if ticks:
             session = _telemetry()
-            if session is not None:
+            if session is not None and session.trace_machine:
                 session.trace.clock_ticks(machine.clock.now, ticks)
         if ticks and not self._in_tick and machine.tick_handler is not None:
             self._in_tick = True
@@ -180,18 +251,78 @@ class CPU:
         result.ticks += ticks
         return result
 
+    def _run_faulting(
+        self,
+        ctx: ExecContext,
+        table: PageTable,
+        vas: np.ndarray,
+        vpns: np.ndarray,
+        unmapped: np.ndarray,
+        result: ChunkResult,
+        writes: np.ndarray | None,
+    ) -> None:
+        """Execute a chunk that touches unmapped pages, faulting each in
+        at its first reference, in O(chunk + faults).
+
+        A heap holds the first unmapped occurrence of every VPN still
+        unmapped.  The chunk runs segment by segment up to the next such
+        position, which takes the fault.  A fault that evicts a page of
+        this task (memory pressure) queues the evicted VPN's next
+        occurrence, found through a position index built on first use;
+        a popped position whose page has been mapped since is skipped.
+        """
+        machine = self.machine
+        v2p = table.v2p
+        values, first = np.unique(vpns[unmapped], return_index=True)
+        positions = np.flatnonzero(unmapped)[first]
+        heap = sorted(zip(positions.tolist(), values.tolist()))
+        pending = set(values.tolist())
+        index = None
+        start = 0
+        while heap:
+            position, vpn = heapq.heappop(heap)
+            pending.discard(vpn)
+            if v2p[vpn] >= 0:
+                continue
+            if position > start:
+                self._execute_segment(
+                    ctx, table, vas[start:position], vpns[start:position],
+                    result, None if writes is None else writes[start:position],
+                )
+                start = position
+            unmaps = table.unmaps
+            machine.deliver_page_fault(ctx, vpn)
+            result.page_faults += 1
+            result.base_cycles += PAGE_FAULT_CYCLES
+            if table.unmaps != unmaps:
+                if index is None:
+                    index = PositionIndex(vpns)
+                    chunk_vpns = np.unique(vpns)
+                for evicted in chunk_vpns[v2p[chunk_vpns] < 0].tolist():
+                    if evicted in pending:
+                        continue
+                    nxt = index.first_after(evicted, position)
+                    if nxt >= 0:
+                        heapq.heappush(heap, (nxt, evicted))
+                        pending.add(evicted)
+        if start < len(vas):
+            self._execute_segment(
+                ctx, table, vas[start:], vpns[start:], result,
+                None if writes is None else writes[start:],
+            )
+
     def _execute_segment(
         self,
         ctx: ExecContext,
         table: PageTable,
         vas: np.ndarray,
+        vpns: np.ndarray,
         result: ChunkResult,
         writes: np.ndarray | None = None,
     ) -> None:
         """Run one fully-mapped run of references: translate, scan for
-        trap candidates, deliver in order."""
+        trap candidates, deliver them in a lane."""
         machine = self.machine
-        vpns = vas >> PAGE_SHIFT
         pas = table.translate(vas)
 
         mechanisms = machine.active_mechanisms
@@ -212,11 +343,43 @@ class CPU:
 
         granules = program.granules_of(pas)
         candidate_mask = program.collect(machine, table, vas, vpns, granules)
-        if candidate_mask.any():
-            self._process_candidates(
-                ctx, table, vas, vpns, pas, granules, candidate_mask,
-                result, program, writes,
+        if not candidate_mask.any():
+            return
+        if program.use_ecc:
+            lane = select_lane(machine, writes)
+            self.segments_by_lane[lane] = self.segments_by_lane.get(lane, 0) + 1
+            if lane is BATCH_LANE:
+                self._deliver_batch(ctx, pas, granules, candidate_mask, result)
+                return
+        self._process_candidates(
+            ctx, table, vas, vpns, pas, granules, candidate_mask,
+            result, program, writes,
+        )
+
+    def _deliver_batch(
+        self,
+        ctx: ExecContext,
+        pas: np.ndarray,
+        granules: np.ndarray,
+        trapped: np.ndarray,
+        result: ChunkResult,
+    ) -> None:
+        """The batch lane: one call delivers every ECC trap of a segment.
+
+        With interrupts masked each reference to a trapped granule is a
+        lost (masked) trap and nothing changes, exactly as per-trap
+        delivery would count it.
+        """
+        machine = self.machine
+        if machine.interrupts_masked:
+            result.masked_traps += int(np.count_nonzero(trapped))
+            return
+        with phase("machine.trap_batch"):
+            traps, cycles = machine.dispatcher.dispatch_batch(
+                TrapKind.ECC_ERROR, ctx, pas, granules, trapped
             )
+        result.traps += traps
+        result.sim_cycles += cycles
 
     def _process_candidates(
         self,
@@ -385,10 +548,19 @@ class CPU:
     def reset_counters(self) -> None:
         self.refs_by_component = {c: 0 for c in Component}
         self.cycles_by_component = {c: 0 for c in Component}
+        self.segments_by_lane = {}
 
     def publish_metrics(self, metrics) -> None:
         """Copy the per-component totals into a metrics registry
-        (``machine.cpu.refs{component=...}`` / ``machine.cpu.cycles``)."""
+        (``machine.cpu.refs{component=...}`` / ``machine.cpu.cycles``)
+        and the delivery-lane segment counts
+        (``machine.cpu.segments{lane=...,reason=...}``, the reasons of
+        a per-trap segment joined by ``+``)."""
+        for lane, count in self.segments_by_lane.items():
+            labels = {"lane": lane.selected}
+            if lane.reasons:
+                labels["reason"] = "+".join(lane.reasons)
+            metrics.counter("machine.cpu.segments", **labels).inc(count)
         for component in Component:
             refs = self.refs_by_component[component]
             if refs:

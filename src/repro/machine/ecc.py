@@ -16,8 +16,8 @@ Two layers are provided:
 * :class:`ECCWord` — a faithful bit-level (39,32) SEC-DED codec used to
   validate the classification logic and by the error-injection tests.
 * :class:`ECCController` — the machine-wide controller that the CPU and
-  Tapeworm actually use.  For speed it tracks *which granules are tampered*
-  in a numpy bitmap (one flag per 4-word check granule, since the hardware
+  Tapeworm actually use.  For speed it tracks *which granules trap* in
+  one numpy bitmap (one flag per 4-word check granule, since the hardware
   only checks ECC on 4-word cache-line refills) and keeps a sparse map of
   injected true errors.
 """
@@ -208,6 +208,12 @@ class ECCController:
     every reference chunk — it stands in for the physical check-bit state
     on the fast path, while :class:`ECCWord` models the bits themselves.
 
+    Outside the few granules carrying an injected true error, a granule
+    traps exactly when Tapeworm's check bit is flipped, so the bitmap
+    doubles as the check-bit state; only the error granules keep their
+    check bit on the side (``_flipped_errors``).  One dense bitmap per
+    machine instead of two halves the memory a forked machine copies.
+
     The controller also logs granules that gained a trap since the last
     drain; the CPU uses this to notice when a miss handler sets a trap on
     a line that appears *later in the same chunk*.
@@ -218,10 +224,10 @@ class ECCController:
         #: granules that will raise an ECC trap when refilled (the OR of
         #: Tapeworm tampering and injected true errors)
         self.granule_trapped = np.zeros(memory.n_granules, dtype=bool)
-        #: granules whose Tapeworm check bit is currently flipped
-        self._tapeworm = np.zeros(memory.n_granules, dtype=bool)
         #: granule -> set of injected true-error (word_offset, bit) pairs
         self._true_errors: dict[int, set[tuple[int, int]]] = {}
+        #: true-error granules whose Tapeworm check bit is also flipped
+        self._flipped_errors: set[int] = set()
         self._recent_sets: list[int] = []
         self.stats_sets = 0
         self.stats_clears = 0
@@ -242,8 +248,11 @@ class ECCController:
     def set_trap(self, pa: int, size: int) -> None:
         """Flip the Tapeworm check bit for every granule in the range."""
         start, stop = self._granule_bounds(pa, size)
-        self._tapeworm[start:stop] = True
         self.granule_trapped[start:stop] = True
+        if self._true_errors:
+            self._flipped_errors.update(
+                g for g in self._true_errors if start <= g < stop
+            )
         if stop - start == 1:
             self._recent_sets.append(start)
         else:
@@ -258,13 +267,72 @@ class ECCController:
         an unrelated fault.
         """
         start, stop = self._granule_bounds(pa, size)
-        self._tapeworm[start:stop] = False
-        if self._true_errors:
-            for granule in range(start, stop):
-                self.granule_trapped[granule] = granule in self._true_errors
-        else:
-            self.granule_trapped[start:stop] = False
+        self.granule_trapped[start:stop] = False
+        for granule in self._true_errors:
+            if start <= granule < stop:
+                self.granule_trapped[granule] = True
+                self._flipped_errors.discard(granule)
         self.stats_clears += 1
+
+    # -- bulk trap manipulation (page registration, the CPU's batch lane)
+
+    def _ranges_granules(self, pas: np.ndarray, size: int) -> np.ndarray:
+        """Granule numbers of the granule-aligned ranges ``[pa, pa+size)``."""
+        if len(pas) == 0:
+            return pas
+        # one OR-reduction finds a negative or unaligned address
+        bits = int(np.bitwise_or.reduce(pas))
+        if bits < 0 or (bits | size) % GRANULE_BYTES:
+            raise MachineError(
+                "ECC traps must be granule-aligned: the controller only "
+                f"checks ECC on {GRANULE_BYTES}-byte refills "
+                f"(got size={size})"
+            )
+        self.memory.check_pa(int(pas.max()), size)
+        starts = pas // GRANULE_BYTES
+        per_range = size // GRANULE_BYTES
+        if per_range == 1:
+            return starts
+        return (starts[:, None] + np.arange(per_range)).ravel()
+
+    def set_traps(self, pas: np.ndarray, size: int) -> None:
+        """:meth:`set_trap` on ``[pa, pa+size)`` for every ``pa``, in one
+        vectorized step.
+
+        Bulk setters do not append to the recent-set log: that log
+        serves per-trap delivery within one segment, and bulk setters
+        run between segments (page registration) or settle a whole
+        segment's end state at once (the batch lane).  Logging here
+        would grow the log without bound in runs no per-trap segment
+        drains.
+        """
+        pas = np.asarray(pas, dtype=np.int64)
+        granules = self._ranges_granules(pas, size)
+        self.granule_trapped[granules] = True
+        if self._true_errors:
+            self._flipped_errors.update(self._error_granules_in(granules))
+        self.stats_sets += len(pas)
+
+    def clear_traps(self, pas: np.ndarray, size: int) -> None:
+        """:meth:`clear_trap` on ``[pa, pa+size)`` for every ``pa``, in
+        one vectorized step; injected true errors keep trapping."""
+        pas = np.asarray(pas, dtype=np.int64)
+        granules = self._ranges_granules(pas, size)
+        self.granule_trapped[granules] = False
+        if self._true_errors:
+            hit = self._error_granules_in(granules)
+            self.granule_trapped[hit] = True
+            self._flipped_errors.difference_update(hit)
+        self.stats_clears += len(pas)
+
+    def _error_granules_in(self, granules: np.ndarray) -> list[int]:
+        errors = np.fromiter(self._true_errors, dtype=np.int64)
+        return errors[np.isin(errors, granules)].tolist()
+
+    @property
+    def has_true_errors(self) -> bool:
+        """Whether any granule carries an injected, unscrubbed error."""
+        return bool(self._true_errors)
 
     def is_trapped(self, pa: int) -> bool:
         """Whether a reference to ``pa`` would raise an ECC trap."""
@@ -272,7 +340,12 @@ class ECCController:
 
     def is_tapeworm_trapped(self, pa: int) -> bool:
         """Whether Tapeworm's check bit is flipped for ``pa``'s granule."""
-        return bool(self._tapeworm[self.memory.granule_of(pa)])
+        return self._check_bit_flipped(self.memory.granule_of(pa))
+
+    def _check_bit_flipped(self, granule: int) -> bool:
+        if granule in self._true_errors:
+            return granule in self._flipped_errors
+        return bool(self.granule_trapped[granule])
 
     # -- recent-set log, used by the CPU's in-order chunk scan
 
@@ -298,6 +371,8 @@ class ECCController:
         """
         granule = self.memory.granule_of(pa)
         word = (pa % GRANULE_BYTES) // 4
+        if self._check_bit_flipped(granule):
+            self._flipped_errors.add(granule)
         errors = self._true_errors.setdefault(granule, set())
         errors.add((word, bit))
         if double:
@@ -320,7 +395,7 @@ class ECCController:
         flipped, and whether the pattern is recoverable.
         """
         granule = self.memory.granule_of(pa)
-        tapeworm = bool(self._tapeworm[granule])
+        tapeworm = self._check_bit_flipped(granule)
         errors = self._true_errors.get(granule, set())
         if not errors:
             # the fast path: only our own check-bit flip is present
@@ -355,7 +430,13 @@ class ECCController:
     def tapeworm_granules(self) -> np.ndarray:
         """Granule numbers whose Tapeworm check bit is currently flipped
         (ascending).  Read-only view for auditors and fault injectors."""
-        return np.nonzero(self._tapeworm)[0]
+        trapped = np.flatnonzero(self.granule_trapped)
+        unflipped = [
+            g for g in self._true_errors if g not in self._flipped_errors
+        ]
+        if unflipped:
+            trapped = trapped[~np.isin(trapped, unflipped)]
+        return trapped
 
     def true_error_granules(self) -> dict[int, int]:
         """``granule -> number of injected data-bit errors`` for every
@@ -372,5 +453,6 @@ class ECCController:
         """Repair injected errors at ``pa`` (what the kernel's error
         handler would do after logging a true single-bit error)."""
         granule = self.memory.granule_of(pa)
-        self._true_errors.pop(granule, None)
-        self.granule_trapped[granule] = bool(self._tapeworm[granule])
+        if self._true_errors.pop(granule, None) is not None:
+            self.granule_trapped[granule] = granule in self._flipped_errors
+            self._flipped_errors.discard(granule)

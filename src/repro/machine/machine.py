@@ -90,7 +90,7 @@ class Machine:
     def deliver_page_fault(self, ctx: ExecContext, vpn: int) -> None:
         self.dispatcher.counts[TrapKind.PAGE_FAULT] += 1
         session = _telemetry()
-        if session is not None:
+        if session is not None and session.trace_machine:
             session.trace.page_fault(
                 self.clock.now, ctx.component, ctx.tid, vpn
             )

@@ -47,6 +47,9 @@ class PageTable:
         self.valid = np.zeros(n_vpages, dtype=bool)
         self.resident = np.zeros(n_vpages, dtype=bool)
         self._recent_invalidations: list[int] = []
+        #: mappings removed so far; the CPU's fault loop watches it to
+        #: notice a fault that evicted one of this task's pages
+        self.unmaps = 0
 
     # -- mapping management (called by the kernel VM system)
 
@@ -75,6 +78,7 @@ class PageTable:
         self.v2p[vpn] = -1
         self.valid[vpn] = False
         self.resident[vpn] = False
+        self.unmaps += 1
         return pfn
 
     def is_mapped(self, vpn: int) -> bool:

@@ -53,11 +53,29 @@ class TrapFrame(NamedTuple):
 TrapHandler = Callable[[TrapFrame], int]
 
 
+class BatchHandler(NamedTuple):
+    """A whole-segment handler installed beside a per-trap handler.
+
+    ``deliver(ctx, pas, granules, trapped)`` handles every trap of one
+    fully mapped segment at once and returns ``(traps, cycles)``.  The
+    CPU uses it only while ``per_trap`` is still the installed handler
+    of its kind, ``observed()`` is false (nothing wrapped the handler's
+    own steps) and ``reasons`` — the configurations the batch handler
+    cannot serve — is empty.
+    """
+
+    per_trap: TrapHandler
+    deliver: Callable[..., tuple[int, int]]
+    observed: Callable[[], bool]
+    reasons: tuple[str, ...]
+
+
 class TrapDispatcher:
     """The kernel's trap vector table."""
 
     def __init__(self) -> None:
         self._handlers: dict[TrapKind, TrapHandler] = {}
+        self._batch: dict[TrapKind, BatchHandler] = {}
         self.counts: dict[TrapKind, int] = {kind: 0 for kind in TrapKind}
 
     def install(self, kind: TrapKind, handler: TrapHandler) -> None:
@@ -79,13 +97,35 @@ class TrapDispatcher:
     def installed(self, kind: TrapKind) -> bool:
         return kind in self._handlers
 
+    def install_batch(self, kind: TrapKind, batch: BatchHandler) -> None:
+        self._batch[kind] = batch
+
+    def uninstall_batch(self, kind: TrapKind) -> None:
+        self._batch.pop(kind, None)
+
+    def batch_handler(self, kind: TrapKind) -> BatchHandler | None:
+        """The batch handler of ``kind`` while the per-trap handler it
+        stands beside is still installed, else None."""
+        batch = self._batch.get(kind)
+        if batch is None or self._handlers.get(kind) is not batch.per_trap:
+            return None
+        return batch
+
+    def dispatch_batch(self, kind: TrapKind, *segment) -> tuple[int, int]:
+        """Deliver one segment's traps through the batch handler of
+        ``kind``, counting them as per-trap dispatch would.  Returns
+        ``(traps, cycles)``."""
+        traps, cycles = self._batch[kind].deliver(*segment)
+        self.counts[kind] += traps
+        return traps, cycles
+
     def dispatch(self, frame: TrapFrame) -> int:
         """Deliver a trap; returns handler cycles (0 if unhandled)."""
         self.counts[frame.kind] += 1
         handler = self._handlers.get(frame.kind)
         cycles = 0 if handler is None else handler(frame)
         session = _telemetry()
-        if session is not None:
+        if session is not None and session.trace_machine:
             session.trace.trap(frame, cycles)
         return cycles
 

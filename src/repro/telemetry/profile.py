@@ -40,6 +40,7 @@ KNOWN_PHASES = (
     "kernels.tlb_chunk",
     "kernels.grid_pass",
     "machine.rescan_index",
+    "machine.trap_batch",
     "streams.blob_map",
     "streams.snapshot_fork",
     "sampling.boundary_warm",

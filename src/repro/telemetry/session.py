@@ -4,7 +4,7 @@ Instrumentation points throughout the machine, kernel, Tapeworm and
 farm all read one module-level slot::
 
     session = active()
-    if session is not None:
+    if session is not None and session.trace_machine:
         session.trace.trap(frame, cycles)
 
 With no session activated (the default, and the state every test and
@@ -44,6 +44,11 @@ class TelemetrySession:
     ``profile`` switches the opt-in phase timers on
     (:mod:`repro.telemetry.profile`); it defaults to off so enabling
     telemetry alone never adds timers to kernel hot paths.
+    ``trace_machine`` records the simulated machine's per-trap events
+    (traps, page faults, clock ticks) into ``trace``; sessions whose
+    trace nobody exports (a CLI run without ``--trace-out``, a farm
+    worker's job session) turn it off, which also lets the CPU deliver
+    ECC traps a segment at a time.
     ``worker_spans`` maps worker pid → list of ``(shift_us, spans)``
     lanes absorbed from job-result envelopes.
     """
@@ -54,9 +59,11 @@ class TelemetrySession:
         span_capacity: int = DEFAULT_SPAN_CAPACITY,
         profile: bool = False,
         run_id: str | None = None,
+        trace_machine: bool = True,
     ) -> None:
         self.metrics = MetricsRegistry()
         self.trace = EventTracer(trace_capacity)
+        self.trace_machine = trace_machine
         self.spans = SpanRecorder(span_capacity)
         self.profile = profile
         self.run_id = run_id or new_run_id()
@@ -163,9 +170,12 @@ def drop_inherited() -> None:
 def enabled(
     trace_capacity: int = DEFAULT_TRACE_CAPACITY,
     profile: bool = False,
+    trace_machine: bool = True,
 ) -> Iterator[TelemetrySession]:
     """Scope a telemetry session over a block of simulation work."""
-    session = activate(TelemetrySession(trace_capacity, profile=profile))
+    session = activate(TelemetrySession(
+        trace_capacity, profile=profile, trace_machine=trace_machine
+    ))
     try:
         yield session
     finally:
